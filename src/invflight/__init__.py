@@ -24,7 +24,6 @@ from .errors import (
     SingularControlMatrix,
     SingularInertia,
     SolverAbort,
-    StallWarning,
     VerticalFlight,
     ZeroVelocity,
 )

@@ -10,19 +10,15 @@ that the solved angle of attack measures the departure from equilibrium.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
-from .errors import StallWarning
 from .model import AeroCoefficients
 
 __all__ = [
     "STALL_ALPHA",
     "EquilibriumReference",
     "dynamic_pressure",
-    "lift_coefficient",
     "drag_coefficient",
-    "side_force_coefficient",
     "body_force_coefficients",
     "body_force_coefficient_rates",
     "moment_coefficients",
@@ -57,23 +53,9 @@ def dynamic_pressure(rho: float, v: float) -> float:
     return 0.5 * rho * v * v
 
 
-def lift_coefficient(alpha: float, coeffs: AeroCoefficients) -> float:
-    """Linear lift curve; warns (non-fatally) past the stall range."""
-    if abs(alpha) > STALL_ALPHA:
-        warnings.warn(
-            f"angle of attack {math.degrees(alpha):.1f} deg exceeds the "
-            "linear-lift range (~15 deg)", StallWarning, stacklevel=2)
-    return coeffs.c_lift0 + coeffs.c_lift_alpha * alpha
-
-
 def drag_coefficient(c_lift: float, coeffs: AeroCoefficients) -> float:
     """Drag polar: parasite drag plus the lift-quadratic term."""
     return coeffs.c_drag0 + coeffs.k_drag * c_lift * c_lift
-
-
-def side_force_coefficient(beta: float, coeffs: AeroCoefficients) -> float:
-    """Side force, linear in sideslip."""
-    return coeffs.c_side_beta * beta
 
 
 def body_force_coefficients(c_drag, c_side, c_lift, alpha, beta):

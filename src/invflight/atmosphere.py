@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import AltitudeOutOfRange
-from .model import ISA, FlightEnvironment
+from .model import ISA
 
 __all__ = ["TROPOPAUSE_ALTITUDE", "density", "density_gradient"]
 
@@ -26,7 +26,7 @@ def _check_range(z_g):
             f"altitude {worst:.1f} m outside [0, {TROPOPAUSE_ALTITUDE:.0f}] m")
 
 
-def density(z_g, env: FlightEnvironment = ISA):
+def density(z_g):
     """Air density (kg/m^3) at ground-axes vertical coordinate z_g (m).
 
     Uses the gradient-layer relation rho = rho_sl * (T/T_sl)**n with
@@ -39,16 +39,16 @@ def density(z_g, env: FlightEnvironment = ISA):
     [0, 11000] m altitude.
     """
     _check_range(z_g)
-    n = env.g / (env.lapse_rate * env.gas_constant) - 1.0
-    return env.rho_sl * (1.0 + (env.lapse_rate / env.temp_sl) * z_g) ** n
+    n = ISA.g / (ISA.lapse_rate * ISA.gas_constant) - 1.0
+    return ISA.rho_sl * (1.0 + (ISA.lapse_rate / ISA.temp_sl) * z_g) ** n
 
 
-def density_gradient(z_g, env: FlightEnvironment = ISA):
+def density_gradient(z_g):
     """d(rho)/d(z_g) (kg/m^3 per m), the chain-rule factor for rho_dot.
 
     Positive: z_g increases downward, where the air is denser.
     """
     _check_range(z_g)
-    n = env.g / (env.lapse_rate * env.gas_constant) - 1.0
-    scale = env.lapse_rate / env.temp_sl
-    return env.rho_sl * n * scale * (1.0 + scale * z_g) ** (n - 1.0)
+    n = ISA.g / (ISA.lapse_rate * ISA.gas_constant) - 1.0
+    scale = ISA.lapse_rate / ISA.temp_sl
+    return ISA.rho_sl * n * scale * (1.0 + scale * z_g) ** (n - 1.0)

@@ -21,13 +21,13 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
+from . import aero, solver
 from . import forward as fwd
-from . import solver
 from .atmosphere import density
 from .dynamics import cruise_trim
 from .errors import ConfigError, ConfigFileError, FlightMechanicsError
@@ -42,8 +42,8 @@ from .model import (
 )
 from .numerics import UniformGrid
 
-__all__ = ["RunManifest", "main", "run_inverse", "run_forward",
-           "run_roundtrip", "run_trim", "run_converge"]
+__all__ = ["main", "run_inverse", "run_forward", "run_roundtrip", "run_trim",
+           "run_converge"]
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -63,51 +63,46 @@ FLAG_STALL = 1
 FLAG_REVERSE_THRUST = 2
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """Everything one run needs, resolved from the command line."""
-
-    subcommand: str
-    config_path: str | None = None
-    maneuver: str | None = None
-    maneuver_file: str | None = None
-    history_file: str | None = None
-    dt: float | None = None  # None: 1e-4 for built-ins, file spacing else
-    dts: tuple = ()
-    out_dir: str = "."
-    angle_unit: str = "deg"
-    altitude: float = 10000.0
-    speed: float = 200.0
-    pos_tol_frac: float = 0.005
-    phi_tol_deg: float = 2.0
-    threshold: float = 0.01
-    diagnostics: bool = False
-
-
 def _fmt(x: float) -> str:
     if x == 0.0:
         x = 0.0  # normalize negative zero
     return "%.9g" % x
 
 
-def _load_aircraft(manifest: RunManifest) -> AircraftConfig:
-    if manifest.config_path is None:
+def _key_values(items) -> str:
+    return "".join(f"{key} = {value}\n" for key, value in items)
+
+
+def _write_report(path, items):
+    """Write ``key = value`` lines, one per item."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(_key_values(items))
+
+
+def _out_dir(args) -> Path:
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
+def _load_aircraft(args) -> AircraftConfig:
+    if args.config is None:
         return validate_config(mirage_iii())
-    return load_config(manifest.config_path)
+    return load_config(args.config)
 
 
-def _resolve_spec(manifest: RunManifest):
-    if (manifest.maneuver is None) == (manifest.maneuver_file is None):
+def _resolve_spec(args, dt):
+    """The trajectory of ``--maneuver`` (at ``dt``, default 1e-4 s) or of
+    ``--maneuver-file`` (at its own spacing, which ``dt`` must match)."""
+    if (args.maneuver is None) == (args.maneuver_file is None):
         raise ConfigError([("bad_maneuver",
                             "give exactly one of --maneuver/--maneuver-file")])
-    if manifest.maneuver is not None:
-        dt = 1e-4 if manifest.dt is None else manifest.dt
-        return solver.maneuver_spec(manifest.maneuver, dt)
-    spec = load_sampled_maneuver(manifest.maneuver_file)
-    if manifest.dt is not None \
-            and abs(manifest.dt - spec.dt) > 1e-12 * spec.dt:
+    if args.maneuver is not None:
+        return solver.maneuver_spec(args.maneuver, 1e-4 if dt is None else dt)
+    spec = load_sampled_maneuver(args.maneuver_file)
+    if dt is not None and abs(dt - spec.dt) > 1e-12 * spec.dt:
         raise ConfigError([("dt_conflict",
-                            f"--dt {manifest.dt} conflicts with the sample "
+                            f"--dt {dt} conflicts with the sample "
                             f"spacing {spec.dt}")])
     return spec
 
@@ -117,23 +112,22 @@ def _angle_scale(unit: str) -> float:
 
 
 def _history_columns(hist: solver.SolutionHistory, unit: str):
-    s = _angle_scale(unit)
     flags = (hist.stall.astype(int) * FLAG_STALL
              + hist.reverse_thrust.astype(int) * FLAG_REVERSE_THRUST)
-    return {
+    cols = {
         "t": hist.t, "x_g": hist.xg, "y_g": hist.yg, "z_g": hist.zg,
-        "V": hist.v,
-        "alpha_proc": hist.alpha * s,
-        "alpha_actual": hist.alpha_actual * s,
-        "beta": hist.beta * s,
+        "V": hist.v, "alpha_proc": hist.alpha,
+        "alpha_actual": hist.alpha_actual, "beta": hist.beta,
         "p": hist.p, "q": hist.q, "r": hist.r,
-        "phi": hist.phi * s, "theta": hist.theta * s, "psi": hist.psi * s,
-        "theta_w": hist.theta_w * s, "psi_w": hist.psi_w * s,
-        "delta_l": hist.delta_l * s, "delta_m": hist.delta_m * s,
-        "delta_n": hist.delta_n * s,
-        "T": hist.thrust,
-        "flags": flags,
+        "phi": hist.phi, "theta": hist.theta, "psi": hist.psi,
+        "theta_w": hist.theta_w, "psi_w": hist.psi_w,
+        "delta_l": hist.delta_l, "delta_m": hist.delta_m,
+        "delta_n": hist.delta_n, "T": hist.thrust, "flags": flags,
     }
+    s = _angle_scale(unit)
+    for n in _ANGLE_COLUMNS:
+        cols[n] = cols[n] * s
+    return cols
 
 
 def write_history(hist: solver.SolutionHistory, path, unit: str):
@@ -153,7 +147,7 @@ def write_summary(hist: solver.SolutionHistory, path, unit: str,
                   dt: float):
     s = _angle_scale(unit)
     ref = hist.reference
-    lines = [
+    _write_report(path, [
         ("maneuver", hist.maneuver),
         ("dt_s", _fmt(dt)),
         ("stations", str(hist.grid.count)),
@@ -175,10 +169,7 @@ def write_summary(hist: solver.SolutionHistory, path, unit: str,
         ("psi_w_max_abs", _fmt(float(np.abs(hist.psi_w).max()) * s)),
         ("stall_stations", str(int(hist.stall.sum()))),
         ("reverse_thrust_stations", str(int(hist.reverse_thrust.sum()))),
-    ]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for key, value in lines:
-            fh.write(f"{key} = {value}\n")
+    ])
 
 
 def read_history(path, unit: str):
@@ -197,51 +188,19 @@ def read_history(path, unit: str):
     return cols
 
 
-def _forward_from_history(cols, cfg: AircraftConfig):
-    """Re-fly the controls of a solved history; returns the forward run
-    and the control grid."""
-    t = cols["t"]
-    if len(t) < 2:
-        raise ConfigFileError("history has fewer than 2 stations")
-    dt = float(t[1] - t[0])
-    steps = np.diff(t)
-    if dt <= 0 or np.max(np.abs(steps - dt)) > 1e-7 * max(dt, 1.0):
-        raise ConfigFileError("history time column is not uniform")
-    grid = UniformGrid(float(t[0]), dt, len(t))
-    controls = fwd.ControlHistory(
-        grid=grid, delta_l=cols["delta_l"], delta_m=cols["delta_m"],
-        delta_n=cols["delta_n"], thrust=cols["T"])
-    initial = FlightState(
-        t=float(t[0]), v=float(cols["V"][0]),
-        alpha=float(cols["alpha_proc"][0]), beta=float(cols["beta"][0]),
-        p=float(cols["p"][0]), q=float(cols["q"][0]),
-        r=float(cols["r"][0]), phi=float(cols["phi"][0]),
-        theta=float(cols["theta"][0]), psi=float(cols["psi"][0]))
-    # trim-referenced lift curve, reconstructed exactly as the inverse
-    # solver builds it at its first station
-    rho0 = density(float(cols["z_g"][0]))
-    qbar0 = 0.5 * rho0 * initial.v ** 2
-    c_lift0_equib = cfg.mass * ISA.g / (qbar0 * cfg.wing_area)
-    coeffs = replace(cfg.aero, c_lift0=c_lift0_equib)
-    position0 = (float(cols["x_g"][0]), float(cols["y_g"][0]),
-                 float(cols["z_g"][0]))
-    run = fwd.simulate(initial, controls, cfg, position0=position0,
-                       coeffs=coeffs)
-    return run
-
-
-def _deviation_report(run, cols, manifest: RunManifest, path):
-    """Compare a forward run against prescribed trajectory columns."""
+def _deviation_report(run, cols, args, path) -> bool:
+    """Compare a forward run against the trajectory columns; returns
+    whether they mismatch."""
     dx = float(np.abs(run.xg - cols["x_g"]).max())
     dy = float(np.abs(run.yg - cols["y_g"]).max())
     dz = float(np.abs(run.zg - cols["z_g"]).max())
     dphi = float(np.abs(run.phi - cols["phi"]).max())
     span = np.hypot(np.diff(cols["x_g"]), np.diff(cols["y_g"]))
     path_length = float(np.sum(np.hypot(span, np.diff(cols["z_g"]))))
-    pos_tol = manifest.pos_tol_frac * max(path_length, 1.0)
-    phi_tol = math.radians(manifest.phi_tol_deg)
+    pos_tol = args.pos_tol_frac * max(path_length, 1.0)
+    phi_tol = math.radians(args.phi_tol_deg)
     mismatch = dy > pos_tol or dz > pos_tol or dphi > phi_tol
-    lines = [
+    _write_report(path, [
         ("path_length_m", _fmt(path_length)),
         ("max_dev_x_m", _fmt(dx)),
         ("max_dev_y_m", _fmt(dy)),
@@ -249,118 +208,111 @@ def _deviation_report(run, cols, manifest: RunManifest, path):
         ("max_dev_phi_deg", _fmt(math.degrees(dphi))),
         ("phi_end_deg", _fmt(math.degrees(float(run.phi[-1])))),
         ("pos_tol_m", _fmt(pos_tol)),
-        ("phi_tol_deg", _fmt(manifest.phi_tol_deg)),
+        ("phi_tol_deg", _fmt(args.phi_tol_deg)),
         ("verdict", "mismatch" if mismatch else "match"),
-    ]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for key, value in lines:
-            fh.write(f"{key} = {value}\n")
+    ])
     return mismatch
 
 
-def run_inverse(manifest: RunManifest) -> int:
-    cfg = _load_aircraft(manifest)
-    spec = _resolve_spec(manifest)
-    hist = solver.solve(spec, cfg, diagnostics=manifest.diagnostics)
-    out = Path(manifest.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    write_history(hist, out / "history.csv", manifest.angle_unit)
-    write_summary(hist, out / "summary.txt", manifest.angle_unit, spec.dt)
-    print(f"wrote {out / 'history.csv'} and {out / 'summary.txt'}")
-    s = _angle_scale(manifest.angle_unit)
-    print(f"max |delta_n| = {_fmt(float(np.abs(hist.delta_n).max()) * s)} "
-          f"{manifest.angle_unit}")
-    if manifest.diagnostics and hist.rate_gap is not None:
-        print(f"angular-acceleration average/direct gap = "
-              f"{_fmt(hist.rate_gap)} rad/s^2")
-    return EXIT_OK
-
-
-def run_forward(manifest: RunManifest) -> int:
-    cfg = _load_aircraft(manifest)
-    cols = read_history(manifest.history_file, manifest.angle_unit)
-    out = Path(manifest.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+def _refly(cols, cfg: AircraftConfig, args, path) -> int:
+    """Fly the controls of history columns (angles in rad) through the
+    forward simulator from their first station, and write the deviation
+    from their trajectory to ``path``. A flight that fails is reported
+    as a mismatch."""
+    t = cols["t"]
+    if len(t) < 2:
+        raise ConfigFileError("history has fewer than 2 stations")
+    dt = float(t[1] - t[0])
+    if dt <= 0 or np.max(np.abs(np.diff(t) - dt)) > 1e-7 * max(dt, 1.0):
+        raise ConfigFileError("history time column is not uniform")
+    controls = fwd.ControlHistory(
+        grid=UniformGrid(float(t[0]), dt, len(t)), delta_l=cols["delta_l"],
+        delta_m=cols["delta_m"], delta_n=cols["delta_n"], thrust=cols["T"])
+    initial = FlightState(
+        t=float(t[0]), v=float(cols["V"][0]),
+        alpha=float(cols["alpha_proc"][0]), beta=float(cols["beta"][0]),
+        p=float(cols["p"][0]), q=float(cols["q"][0]),
+        r=float(cols["r"][0]), phi=float(cols["phi"][0]),
+        theta=float(cols["theta"][0]), psi=float(cols["psi"][0]))
+    position0 = tuple(float(cols[k][0]) for k in ("x_g", "y_g", "z_g"))
+    # the trim-referenced lift curve, as the inverse run built it at its
+    # first station
+    qbar0 = aero.dynamic_pressure(density(position0[2]), initial.v)
+    ref = aero.equilibrium_reference(cfg.mass, ISA.g, qbar0, cfg.wing_area,
+                                     cfg.aero.c_lift_alpha, cfg.aero.c_lift0)
     try:
-        run = _forward_from_history(cols, cfg)
+        run = fwd.simulate(initial, controls, cfg, position0=position0,
+                           coeffs=replace(cfg.aero,
+                                          c_lift0=ref.c_lift0_equib))
     except FlightMechanicsError as err:
-        # the replayed controls drove the simulation out of its validity
-        # range; report it as a mismatch with the deviation pinned open
-        with open(out / "forward.txt", "w", encoding="utf-8",
-                  newline="\n") as fh:
-            fh.write("verdict = mismatch\n")
-            fh.write(f"forward_failure = {err}\n")
+        # the controls drove the simulation out of its validity range
+        _write_report(path, [("verdict", "mismatch"),
+                             ("forward_failure", err)])
         print(f"forward run failed: {err}", file=sys.stderr)
         return EXIT_MISMATCH
-    mismatch = _deviation_report(run, cols, manifest, out / "forward.txt")
-    print(f"wrote {out / 'forward.txt'}")
+    mismatch = _deviation_report(run, cols, args, path)
+    print(f"wrote {path}")
     return EXIT_MISMATCH if mismatch else EXIT_OK
 
 
-def run_roundtrip(manifest: RunManifest) -> int:
-    cfg = _load_aircraft(manifest)
-    spec = _resolve_spec(manifest)
+def run_inverse(args) -> int:
+    cfg = _load_aircraft(args)
+    spec = _resolve_spec(args, args.dt)
     hist = solver.solve(spec, cfg)
-    out = Path(manifest.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    write_history(hist, out / "history.csv", manifest.angle_unit)
-
-    coeffs = replace(cfg.aero, c_lift0=hist.reference.c_lift0_equib)
-    cols = {"x_g": hist.xg, "y_g": hist.yg, "z_g": hist.zg,
-            "phi": hist.phi}
-    try:
-        run = fwd.simulate(hist.state_at(0), hist.controls(), cfg,
-                           position0=(float(hist.xg[0]),
-                                      float(hist.yg[0]),
-                                      float(hist.zg[0])),
-                           coeffs=coeffs)
-    except FlightMechanicsError as err:
-        # a forward leg that blows up is reported as a mismatch, with
-        # the deviations pinned at infinity
-        with open(out / "roundtrip.txt", "w", encoding="utf-8",
-                  newline="\n") as fh:
-            fh.write("verdict = mismatch\n")
-            fh.write(f"forward_failure = {err}\n")
-        print(f"forward leg failed: {err}", file=sys.stderr)
-        return EXIT_MISMATCH
-    mismatch = _deviation_report(run, cols, manifest,
-                                 out / "roundtrip.txt")
-    print(f"wrote {out / 'roundtrip.txt'}")
-    return EXIT_MISMATCH if mismatch else EXIT_OK
-
-
-def run_trim(manifest: RunManifest) -> int:
-    cfg = _load_aircraft(manifest)
-    if manifest.speed <= 0:
-        raise ConfigError([("non_positive_speed",
-                            f"speed {manifest.speed} must be > 0")])
-    rho = density(-manifest.altitude)
-    thrust, c_lift, c_drag = cruise_trim(cfg.mass, ISA.g, rho,
-                                         manifest.speed, cfg.wing_area,
-                                         cfg.aero)
-    qbar = 0.5 * rho * manifest.speed ** 2
-    alpha_equib = c_lift / cfg.aero.c_lift_alpha
-    print(f"altitude_m = {_fmt(manifest.altitude)}")
-    print(f"speed_m_s = {_fmt(manifest.speed)}")
-    print(f"rho_kg_m3 = {_fmt(rho)}")
-    print(f"qbar_pa = {_fmt(qbar)}")
-    print(f"c_lift = {_fmt(c_lift)}")
-    print(f"c_drag = {_fmt(c_drag)}")
-    print(f"alpha_equib_deg = {_fmt(math.degrees(alpha_equib))}")
-    print(f"thrust_n = {_fmt(thrust)}")
+    out = _out_dir(args)
+    write_history(hist, out / "history.csv", args.angles)
+    write_summary(hist, out / "summary.txt", args.angles, spec.dt)
+    print(f"wrote {out / 'history.csv'} and {out / 'summary.txt'}")
+    s = _angle_scale(args.angles)
+    print(f"max |delta_n| = {_fmt(float(np.abs(hist.delta_n).max()) * s)} "
+          f"{args.angles}")
+    print(f"angular-acceleration average/direct gap = "
+          f"{_fmt(hist.rate_gap)} rad/s^2")
     return EXIT_OK
 
 
-def run_converge(manifest: RunManifest) -> int:
-    cfg = _load_aircraft(manifest)
-    spec = _resolve_spec(manifest)
-    report = solver.convergence_study(spec, cfg, manifest.dts,
-                                      threshold=manifest.threshold)
-    out = Path(manifest.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    lines = []
-    lines.append("dt_coarse,dt_fine,delta_l,delta_m,delta_n,thrust,"
-                 "diverged")
+def run_forward(args) -> int:
+    cfg = _load_aircraft(args)
+    cols = read_history(args.history, args.angles)
+    return _refly(cols, cfg, args, _out_dir(args) / "forward.txt")
+
+
+def run_roundtrip(args) -> int:
+    cfg = _load_aircraft(args)
+    hist = solver.solve(_resolve_spec(args, args.dt), cfg)
+    out = _out_dir(args)
+    write_history(hist, out / "history.csv", args.angles)
+    return _refly(_history_columns(hist, "rad"), cfg, args,
+                  out / "roundtrip.txt")
+
+
+def run_trim(args) -> int:
+    cfg = _load_aircraft(args)
+    if args.speed <= 0:
+        raise ConfigError([("non_positive_speed",
+                            f"speed {args.speed} must be > 0")])
+    rho = density(-args.altitude)
+    thrust, c_lift, c_drag = cruise_trim(cfg.mass, ISA.g, rho, args.speed,
+                                         cfg.wing_area, cfg.aero)
+    alpha_equib = c_lift / cfg.aero.c_lift_alpha
+    print(_key_values([
+        ("altitude_m", _fmt(args.altitude)),
+        ("speed_m_s", _fmt(args.speed)),
+        ("rho_kg_m3", _fmt(rho)),
+        ("qbar_pa", _fmt(0.5 * rho * args.speed ** 2)),
+        ("c_lift", _fmt(c_lift)),
+        ("c_drag", _fmt(c_drag)),
+        ("alpha_equib_deg", _fmt(math.degrees(alpha_equib))),
+        ("thrust_n", _fmt(thrust)),
+    ]), end="")
+    return EXIT_OK
+
+
+def run_converge(args) -> int:
+    cfg = _load_aircraft(args)
+    report = solver.convergence_study(_resolve_spec(args, None), cfg,
+                                      args.dts, threshold=args.threshold)
+    lines = ["dt_coarse,dt_fine,delta_l,delta_m,delta_n,thrust,diverged"]
     for pair in report.pairs:
         m = pair.metrics
         lines.append(",".join([
@@ -371,7 +323,7 @@ def run_converge(manifest: RunManifest) -> int:
     verdict = "insensitive" if report.insensitive else "sensitive"
     lines.append(f"verdict,{verdict},threshold,{_fmt(report.threshold)}")
     text = "\n".join(lines) + "\n"
-    with open(out / "convergence.txt", "w", encoding="utf-8",
+    with open(_out_dir(args) / "convergence.txt", "w", encoding="utf-8",
               newline="\n") as fh:
         fh.write(text)
     print(text, end="")
@@ -401,27 +353,30 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="sampled maneuver file "
                                 "(rows: t x_g y_g z_g phi)")
 
+    def add_tolerances(p):
+        p.add_argument("--pos-tol-frac", type=float, default=0.005,
+                       help="y/z deviation bound as a fraction of the "
+                            "path length")
+        p.add_argument("--phi-tol-deg", type=float, default=2.0,
+                       help="bank deviation bound, deg")
+
     p = sub.add_parser("inverse", help="solve for the control histories")
     add_common(p)
     p.add_argument("--dt", type=float, default=None,
                    help="time step, s (default 1e-4; sampled maneuver "
                         "files use their own spacing)")
-    p.add_argument("--diagnostics", action="store_true",
-                   help="track the averaged/direct angular-acceleration gap")
 
     p = sub.add_parser("forward", help="re-fly a solved history")
     add_common(p, maneuver=False)
     p.add_argument("--history", required=True,
                    help="history.csv produced by the inverse subcommand")
-    p.add_argument("--pos-tol-frac", type=float, default=0.005)
-    p.add_argument("--phi-tol-deg", type=float, default=2.0)
+    add_tolerances(p)
 
     p = sub.add_parser("roundtrip",
                        help="inverse then forward, with deviation report")
     add_common(p)
     p.add_argument("--dt", type=float, default=None)
-    p.add_argument("--pos-tol-frac", type=float, default=0.005)
-    p.add_argument("--phi-tol-deg", type=float, default=2.0)
+    add_tolerances(p)
 
     p = sub.add_parser("trim", help="steady level flight report")
     p.add_argument("--config", default=None)
@@ -440,26 +395,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _manifest_from_args(args) -> RunManifest:
-    return RunManifest(
-        subcommand=args.subcommand,
-        config_path=getattr(args, "config", None),
-        maneuver=getattr(args, "maneuver", None),
-        maneuver_file=getattr(args, "maneuver_file", None),
-        history_file=getattr(args, "history", None),
-        dt=getattr(args, "dt", None),
-        dts=tuple(getattr(args, "dts", ()) or ()),
-        out_dir=getattr(args, "out", "."),
-        angle_unit=getattr(args, "angles", "deg"),
-        altitude=getattr(args, "altitude", 10000.0),
-        speed=getattr(args, "speed", 200.0),
-        pos_tol_frac=getattr(args, "pos_tol_frac", 0.005),
-        phi_tol_deg=getattr(args, "phi_tol_deg", 2.0),
-        threshold=getattr(args, "threshold", 0.01),
-        diagnostics=getattr(args, "diagnostics", False),
-    )
-
-
 _RUNNERS = {
     "inverse": run_inverse,
     "forward": run_forward,
@@ -470,14 +405,9 @@ _RUNNERS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    manifest = _manifest_from_args(args)
-    if manifest.subcommand == "converge" and len(manifest.dts) < 2:
-        print("converge needs at least two --dt values", file=sys.stderr)
-        return EXIT_INPUT
+    args = _build_parser().parse_args(argv)
     try:
-        return _RUNNERS[manifest.subcommand](manifest)
+        return _RUNNERS[args.subcommand](args)
     except (ConfigError, ConfigFileError, FileNotFoundError, OSError) as err:
         print(f"input error: {err}", file=sys.stderr)
         return EXIT_INPUT

@@ -70,26 +70,24 @@ class InertiaSystem:
     coupling_inv: tuple
 
 
-def inertia_system(cfg: AircraftConfig,
-                   symmetric_cross_term: bool = False) -> InertiaSystem:
+def inertia_system(cfg: AircraftConfig) -> InertiaSystem:
     """Build the inertia couplings for an aircraft.
 
-    The default coefficient matrix carries an asymmetric roll-row third
-    entry, f*d - e*b; ``symmetric_cross_term`` switches it to the
-    adjugate form f*d + e*b, which makes the matrix the exact inverse
-    (scaled by t0) of the inertia tensor. For zero i_yz and i_xy the two
-    differ only in a few-percent roll/yaw cross coupling; both stay
-    forward/inverse consistent because the inverse map is derived from
-    the same matrix.
+    The coefficient matrix carries an asymmetric roll-row third entry,
+    f*d - e*b. That is not the adjugate entry f*d + e*b, so the matrix
+    is not the exact inverse (scaled by t0) of the inertia tensor: with
+    i_zx != 0 the roll acceleration departs from the textbook Euler
+    equation. For zero i_yz and i_xy the difference is a few-percent
+    roll/yaw cross coupling. Forward and inverse stay mutually
+    consistent because the inverse map is derived from the same matrix.
     """
     a, b, c = cfg.i_roll, cfg.i_pitch, cfg.i_yaw
     d, e, f = cfg.i_yz, cfg.i_zx, cfg.i_xy
     t0 = cfg.inertia_determinant
     if abs(t0) <= 1e-9 * abs(a * b * c):
         raise SingularInertia("inertia coupling determinant is zero")
-    k02 = f * d + e * b if symmetric_cross_term else f * d - e * b
     coupling = (
-        (b * c - d * d, f * c + e * d, k02),
+        (b * c - d * d, f * c + e * d, f * d - e * b),
         (f * c + e * d, a * c - e * e, a * d + e * f),
         (f * d + b * e, a * d + f * e, a * b - f * f),
     )

@@ -1,4 +1,4 @@
-"""Exception and warning types shared across the package."""
+"""Exception types shared across the package."""
 
 
 class FlightMechanicsError(Exception):
@@ -95,11 +95,3 @@ class SolverAbort(FlightMechanicsError):
         self.station = station
         self.cause = cause
         super().__init__(f"{phase} failed at station {station}: {cause}")
-
-
-class StallWarning(UserWarning):
-    """Angle of attack beyond the linear-lift validity range (~15 deg).
-
-    Advisory only: results are still produced, but the linear lift slope
-    is unreliable past this point.
-    """

@@ -19,7 +19,7 @@ import numpy as np
 from . import aero, dynamics, kinematics
 from .atmosphere import density
 from .errors import NonFiniteState
-from .model import ISA, AircraftConfig, FlightEnvironment, FlightState
+from .model import ISA, AircraftConfig, FlightState
 from .numerics import UniformGrid, rk4_step
 
 __all__ = ["ControlHistory", "ForwardHistory", "simulate"]
@@ -60,8 +60,7 @@ class ForwardHistory:
 
 
 def simulate(initial: FlightState, controls: ControlHistory,
-             cfg: AircraftConfig, env: FlightEnvironment = ISA,
-             position0=(0.0, 0.0, 0.0),
+             cfg: AircraftConfig, position0=(0.0, 0.0, 0.0),
              coeffs=None) -> ForwardHistory:
     """Integrate the body-axes equations of motion under the controls.
 
@@ -81,7 +80,7 @@ def simulate(initial: FlightState, controls: ControlHistory,
     t0 = grid.t0
 
     mass = cfg.mass
-    g = env.g
+    g = ISA.g
     s_ref = cfg.wing_area
     span = cfg.span_ref
     chord = cfg.chord_ref
@@ -111,7 +110,7 @@ def simulate(initial: FlightState, controls: ControlHistory,
         thrust = th[i] + (th[i + 1] - th[i]) * frac
 
         v, alpha, beta = kinematics.airflow_from_body(u, v_side, w)
-        rho = density(zg, env)
+        rho = density(zg)
         qbar = 0.5 * rho * v * v
 
         c_lift = c_lift0 + c_lift_alpha * alpha

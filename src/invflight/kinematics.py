@@ -32,10 +32,8 @@ __all__ = [
     "body_rates_from_euler",
     "euler_rates_from_body",
     "body_rate_derivatives",
-    "path_from_ground_velocity",
     "ground_velocity_from_path",
     "path_angles_from_attitude",
-    "attitude_from_path",
     "attitude_rates",
     "attitude_accels",
     "velocity_triplet",
@@ -85,24 +83,6 @@ def body_rate_derivatives(phi, theta, phi_dot, theta_dot, psi_dot,
              + cp * ct * psi_ddot - cp * phi_dot * theta_dot
              - sp * theta_ddot)
     return p_dot, q_dot, r_dot
-
-
-def path_from_ground_velocity(xg_dot, yg_dot, zg_dot):
-    """Speed and flight-path angles from ground-axes velocity components.
-
-    The azimuth uses the full-circle two-argument arctangent so heading
-    reversals are representable.
-    """
-    v = math.sqrt(xg_dot * xg_dot + yg_dot * yg_dot + zg_dot * zg_dot)
-    if v <= 0.0:
-        raise ZeroVelocity("velocity magnitude is zero")
-    s = min(1.0, max(-1.0, -zg_dot / v))
-    theta_w = math.asin(s)
-    if math.cos(theta_w) < _GIMBAL_TOL:
-        raise VerticalFlight(
-            "flight path is vertical; azimuth undefined")
-    psi_w = math.atan2(yg_dot, xg_dot)
-    return v, theta_w, psi_w
 
 
 def ground_velocity_from_path(v, theta_w, psi_w):
@@ -195,30 +175,6 @@ def path_angles_from_attitude(alpha, beta, phi, theta, psi):
         raise NoSolution("no heading satisfies the lateral coupling")
     psi_w = psi + math.asin(min(1.0, max(-1.0, arg)))
     return theta_w, psi_w
-
-
-def attitude_from_path(alpha, beta, phi, theta_w, psi_w):
-    """Pitch and heading that realize the given flight-path direction.
-
-    Closed form: the vertical coupling is a phase-shifted sine in theta,
-    and the lateral coupling then fixes psi. For alpha = beta = 0 this
-    returns (theta_w, psi_w) exactly.
-    """
-    lat, vert, ax = _aggregates(alpha, beta, phi, 0, 0, 0, 0, 0, 0)
-    amp = math.hypot(ax[0], vert[0])
-    stw = math.sin(theta_w)
-    if amp < 1e-15 or abs(stw) > amp + 1e-12:
-        raise NoSolution("no pitch angle satisfies the vertical coupling")
-    shift = math.atan2(vert[0], ax[0])
-    theta = shift + math.asin(min(1.0, max(-1.0, stw / amp)))
-    ctw = math.cos(theta_w)
-    if ctw < _GIMBAL_TOL:
-        raise VerticalFlight("flight path is vertical; heading undefined")
-    arg = lat[0] / ctw
-    if abs(arg) > 1.0 + 1e-12:
-        raise NoSolution("no heading satisfies the lateral coupling")
-    psi = psi_w - math.asin(min(1.0, max(-1.0, arg)))
-    return theta, psi
 
 
 def attitude_rates(*, alpha, beta, phi, alpha_dot, beta_dot, phi_dot,

@@ -12,7 +12,8 @@ Axis conventions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -41,7 +42,7 @@ __all__ = [
 class FlightEnvironment:
     """Physical constants for the standard atmosphere and gravity.
 
-    Immutable per run; the defaults are the only values used in practice.
+    The package reads the one instance ``ISA``; the constants are fixed.
     """
 
     g: float = 9.81              # m/s^2
@@ -302,6 +303,11 @@ def validate_config(cfg: AircraftConfig) -> AircraftConfig:
     and idempotent.
     """
     v = []
+    for obj in (cfg, cfg.aero):
+        for f in fields(obj):
+            val = getattr(obj, f.name)
+            if f.name != "aero" and not math.isfinite(val):
+                v.append(("non_finite", f"{f.name} = {val} must be finite"))
     if not cfg.mass > 0.0:
         v.append(("non_positive_mass", f"mass = {cfg.mass} must be > 0"))
     for name in ("i_roll", "i_pitch", "i_yaw"):
@@ -443,10 +449,14 @@ def load_sampled_maneuver(path) -> TrajectorySpec:
                     f"{path}: line {lineno}: expected 5 columns "
                     f"(t, x_g, y_g, z_g, phi), got {len(parts)}")
             try:
-                rows.append([float(p) for p in parts])
+                row = [float(p) for p in parts]
             except ValueError:
                 raise ConfigFileError(
                     f"{path}: line {lineno}: non-numeric entry") from None
+            if not all(map(math.isfinite, row)):
+                raise ConfigFileError(
+                    f"{path}: line {lineno}: non-finite entry")
+            rows.append(row)
     if len(rows) < 4:
         raise ConfigFileError(
             f"{path}: only {len(rows)} sample rows; at least 4 required")

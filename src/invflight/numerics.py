@@ -16,7 +16,6 @@ from .errors import GridTooShort
 
 __all__ = [
     "UniformGrid",
-    "SampledSignal",
     "fd_first_derivative",
     "fd_second_derivative",
     "fd_third_derivative",
@@ -34,30 +33,6 @@ class UniformGrid:
 
     def times(self) -> np.ndarray:
         return self.t0 + self.dt * np.arange(self.count)
-
-    @property
-    def t_end(self) -> float:
-        return self.t0 + self.dt * (self.count - 1)
-
-
-@dataclass(frozen=True)
-class SampledSignal:
-    """A scalar signal sampled on a uniform grid."""
-
-    grid: UniformGrid
-    values: np.ndarray
-
-    def first_derivative(self) -> "SampledSignal":
-        return SampledSignal(self.grid,
-                             fd_first_derivative(self.values, self.grid.dt))
-
-    def second_derivative(self) -> "SampledSignal":
-        return SampledSignal(self.grid,
-                             fd_second_derivative(self.values, self.grid.dt))
-
-    def third_derivative(self) -> "SampledSignal":
-        return SampledSignal(self.grid,
-                             fd_third_derivative(self.values, self.grid.dt))
 
 
 def fd_first_derivative(values, dt: float) -> np.ndarray:

@@ -9,8 +9,8 @@ histories and all remaining flight variables:
                 time derivatives (trajectory derivatives analytic when
                 available, finite differences otherwise; speed
                 derivatives always by finite differences);
-  initialize    equilibrium start: zero airflow angles, attitude from
-                the path angles, thrust from the axial balance, body
+  initialize    equilibrium start: zero airflow angles, pitch and heading
+                equal to the path angles, thrust from the axial balance, body
                 rates from the Euler rates, deflections from the moment
                 balance, and the lift-curve zero moved to the trim point;
   solve         march station to station with fixed-step RK4 over the
@@ -29,7 +29,7 @@ error stays negligible at coarse steps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -51,7 +51,6 @@ from .model import (
     AircraftConfig,
     AnalyticChannel,
     AnalyticManeuver,
-    FlightEnvironment,
     FlightState,
     TrajectorySpec,
     validate_config,
@@ -100,15 +99,6 @@ class ManeuverLibraryEntry:
                               analytic=self.maneuver, name=self.name)
 
 
-def _const(value):
-    return AnalyticChannel(
-        f=lambda t, v=value: np.full_like(np.asarray(t, dtype=float), v),
-        d1=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
-        d2=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
-        d3=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
-    )
-
-
 def _linear(rate, offset=0.0):
     return AnalyticChannel(
         f=lambda t, r=rate, o=offset: o + r * np.asarray(t, dtype=float),
@@ -147,8 +137,8 @@ MANEUVERS = {
         duration=6.0,
         maneuver=AnalyticManeuver(
             x=_linear(200.0),
-            y=_const(0.0),
-            z=_const(-10000.0),
+            y=_linear(0.0),
+            z=_linear(0.0, -10000.0),
             phi=_roll_bank_channel(),
         ),
         description="straight level run at 200 m/s, 10 km altitude, with "
@@ -159,9 +149,9 @@ MANEUVERS = {
         duration=6.0,
         maneuver=AnalyticManeuver(
             x=_linear(200.0),
-            y=_const(0.0),
-            z=_const(-10000.0),
-            phi=_const(0.0),
+            y=_linear(0.0),
+            z=_linear(0.0, -10000.0),
+            phi=_linear(0.0),
         ),
         description="wings-level straight run at 200 m/s, 10 km altitude",
     ),
@@ -233,29 +223,24 @@ class KinematicProfiles:
         return list(zip(*(c.tolist() for c in cols)))
 
 
-def _station_of(fine_idx: int) -> int:
-    return fine_idx // 2
-
-
 def _path_profiles(xd, yd, zd, xdd, ydd, zdd, xddd, yddd, zddd,
-                   v, v_dot, v_ddot):
+                   v, v_dot, v_ddot, scale):
     """Flight-path angles and their rates from trajectory derivatives.
 
     The elevation chain comes from differentiating the vertical velocity
     resolution, the azimuth chain from the two horizontal resolutions
-    combined, which stays valid for any heading.
+    combined, which stays valid for any heading. ``scale`` is the number
+    of array entries per station, for the station index in errors.
     """
     if np.any(v <= 0.0):
         idx = int(np.argmax(v <= 0.0))
-        raise ZeroVelocity(
-            f"zero speed at station {_station_of(idx)}")
+        raise ZeroVelocity(f"zero speed at station {idx // scale}")
     stw = np.clip(-zd / v, -1.0, 1.0)
     theta_w = np.arcsin(stw)
     ctw = np.cos(theta_w)
     if np.any(ctw < _VERTICAL_TOL):
         idx = int(np.argmax(ctw < _VERTICAL_TOL))
-        raise VerticalFlight(
-            f"vertical flight path at station {_station_of(idx)}")
+        raise VerticalFlight(f"vertical flight path at station {idx // scale}")
     psi_w = np.unwrap(np.arctan2(yd, xd))
     spw, cpw = np.sin(psi_w), np.cos(psi_w)
 
@@ -270,7 +255,7 @@ def _path_profiles(xd, yd, zd, xdd, ydd, zdd, xddd, yddd, zddd,
     return theta_w, theta_w_dot, theta_w_ddot, psi_w, psi_w_dot, psi_w_ddot
 
 
-def _check_altitude(z, scale=1):
+def _check_altitude(z, scale):
     alt = -z
     bad = (alt < 0.0) | (alt > TROPOPAUSE_ALTITUDE)
     if np.any(bad):
@@ -288,88 +273,65 @@ def _upsample(arr: np.ndarray) -> np.ndarray:
     return fine
 
 
-def setup(spec: TrajectorySpec, env: FlightEnvironment = ISA) -> KinematicProfiles:
-    """Turn a trajectory prescription into kinematic profiles."""
+def setup(spec: TrajectorySpec) -> KinematicProfiles:
+    """Turn a trajectory prescription into kinematic profiles.
+
+    Analytic channels are evaluated on the half-step grid directly.
+    Sampled channels are differentiated on the station grid, and every
+    half-step profile is then interpolated linearly to the midpoints.
+    """
     spec.validate()
     n = spec.station_count
     dt = spec.dt
-
     if spec.analytic is not None:
         man = spec.analytic
-        for name, ch in (("x", man.x), ("y", man.y), ("z", man.z)):
+        xyz = (man.x, man.y, man.z)
+        for name, ch in zip("xyz", xyz):
             if ch.d3 is None:
                 raise ConfigError([("missing_derivative",
                                     f"analytic channel {name} needs d3")])
-        t0 = 0.0
-        half = 0.5 * dt
-        tf = t0 + half * np.arange(2 * n - 1)
-        x = np.asarray(man.x.f(tf), dtype=float)
-        y = np.asarray(man.y.f(tf), dtype=float)
-        z = np.asarray(man.z.f(tf), dtype=float)
-        xd, yd, zd = (np.asarray(c.d1(tf), dtype=float)
-                      for c in (man.x, man.y, man.z))
-        xdd, ydd, zdd = (np.asarray(c.d2(tf), dtype=float)
-                         for c in (man.x, man.y, man.z))
-        xddd, yddd, zddd = (np.asarray(c.d3(tf), dtype=float)
-                            for c in (man.x, man.y, man.z))
-        phi = np.asarray(man.phi.f(tf), dtype=float)
-        phi_dot = np.asarray(man.phi.d1(tf), dtype=float)
-        phi_ddot = np.asarray(man.phi.d2(tf), dtype=float)
+        t0, h, scale = 0.0, 0.5 * dt, 2
+        tf = h * np.arange(2 * n - 1)
 
-        _check_altitude(z, scale=2)
-        v = np.sqrt(xd * xd + yd * yd + zd * zd)
-        v_dot = fd_first_derivative(v, half)
-        v_ddot = fd_second_derivative(v, half)
-        (theta_w, theta_w_dot, theta_w_ddot,
-         psi_w, psi_w_dot, psi_w_ddot) = _path_profiles(
-            xd, yd, zd, xdd, ydd, zdd, xddd, yddd, zddd, v, v_dot, v_ddot)
-        rho = density(z, env)
-        rho_dot = density_gradient(z, env) * zd
+        def ev(fn):
+            return np.asarray(fn(tf), dtype=float)
 
-        return KinematicProfiles(
-            stations=UniformGrid(t0, dt, n),
-            xg=x[::2], yg=y[::2], zg=z[::2],
-            xg_dot=xd[::2], yg_dot=yd[::2], zg_dot=zd[::2],
-            v=v, v_dot=v_dot, v_ddot=v_ddot,
-            theta_w=theta_w, theta_w_dot=theta_w_dot,
-            theta_w_ddot=theta_w_ddot,
-            psi_w=psi_w, psi_w_dot=psi_w_dot, psi_w_ddot=psi_w_ddot,
-            phi=phi, phi_dot=phi_dot, phi_ddot=phi_ddot,
-            rho=rho, rho_dot=rho_dot)
-
-    # sampled input: all derivatives by finite differences on the
-    # station grid, then linear midpoints for the stage evaluations
-    s = spec.samples
-    t0 = float(s.t[0])
-    x, y, z, phi = (np.asarray(a, dtype=float)
-                    for a in (s.x, s.y, s.z, s.phi))
-    _check_altitude(z)
-    xd, yd, zd = (fd_first_derivative(a, dt) for a in (x, y, z))
-    xdd, ydd, zdd = (fd_second_derivative(a, dt) for a in (x, y, z))
-    xddd, yddd, zddd = (fd_third_derivative(a, dt) for a in (x, y, z))
-    phi_dot = fd_first_derivative(phi, dt)
-    phi_ddot = fd_second_derivative(phi, dt)
+        x, y, z = (ev(c.f) for c in xyz)
+        xd, yd, zd = (ev(c.d1) for c in xyz)
+        xdd, ydd, zdd = (ev(c.d2) for c in xyz)
+        xddd, yddd, zddd = (ev(c.d3) for c in xyz)
+        phi, phi_dot, phi_ddot = ev(man.phi.f), ev(man.phi.d1), ev(man.phi.d2)
+        station, fine = (lambda a: a[::2]), (lambda a: a)
+    else:
+        s = spec.samples
+        t0, h, scale = float(s.t[0]), dt, 1
+        x, y, z, phi = (np.asarray(a, dtype=float)
+                        for a in (s.x, s.y, s.z, s.phi))
+        xd, yd, zd = (fd_first_derivative(a, dt) for a in (x, y, z))
+        xdd, ydd, zdd = (fd_second_derivative(a, dt) for a in (x, y, z))
+        xddd, yddd, zddd = (fd_third_derivative(a, dt) for a in (x, y, z))
+        phi_dot = fd_first_derivative(phi, dt)
+        phi_ddot = fd_second_derivative(phi, dt)
+        station, fine = (lambda a: a), _upsample
+    _check_altitude(z, scale)
 
     v = np.sqrt(xd * xd + yd * yd + zd * zd)
-    v_dot = fd_first_derivative(v, dt)
-    v_ddot = fd_second_derivative(v, dt)
+    v_dot = fd_first_derivative(v, h)
+    v_ddot = fd_second_derivative(v, h)
     (theta_w, theta_w_dot, theta_w_ddot,
      psi_w, psi_w_dot, psi_w_ddot) = _path_profiles(
-        xd, yd, zd, xdd, ydd, zdd, xddd, yddd, zddd, v, v_dot, v_ddot)
-    rho = density(z, env)
-    rho_dot = density_gradient(z, env) * zd
-
+        xd, yd, zd, xdd, ydd, zdd, xddd, yddd, zddd, v, v_dot, v_ddot, scale)
+    half_step = dict(
+        v=v, v_dot=v_dot, v_ddot=v_ddot,
+        theta_w=theta_w, theta_w_dot=theta_w_dot, theta_w_ddot=theta_w_ddot,
+        psi_w=psi_w, psi_w_dot=psi_w_dot, psi_w_ddot=psi_w_ddot,
+        phi=phi, phi_dot=phi_dot, phi_ddot=phi_ddot,
+        rho=density(z), rho_dot=density_gradient(z) * zd)
     return KinematicProfiles(
         stations=UniformGrid(t0, dt, n),
-        xg=x, yg=y, zg=z, xg_dot=xd, yg_dot=yd, zg_dot=zd,
-        v=_upsample(v), v_dot=_upsample(v_dot), v_ddot=_upsample(v_ddot),
-        theta_w=_upsample(theta_w), theta_w_dot=_upsample(theta_w_dot),
-        theta_w_ddot=_upsample(theta_w_ddot),
-        psi_w=_upsample(psi_w), psi_w_dot=_upsample(psi_w_dot),
-        psi_w_ddot=_upsample(psi_w_ddot),
-        phi=_upsample(phi), phi_dot=_upsample(phi_dot),
-        phi_ddot=_upsample(phi_ddot),
-        rho=_upsample(rho), rho_dot=_upsample(rho_dot))
+        xg=station(x), yg=station(y), zg=station(z),
+        xg_dot=station(xd), yg_dot=station(yd), zg_dot=station(zd),
+        **{name: fine(a) for name, a in half_step.items()})
 
 
 # ----------------------------------------------------------------------
@@ -391,12 +353,12 @@ class InitialConditions:
     coeffs: AeroCoefficients  # copy of the aircraft set, shifted c_lift0
 
 
-def initialize(profiles: KinematicProfiles, cfg: AircraftConfig,
-               env: FlightEnvironment = ISA) -> InitialConditions:
+def initialize(profiles: KinematicProfiles,
+               cfg: AircraftConfig) -> InitialConditions:
     """Equilibrium initial state at the first station.
 
-    Airflow angles and their rates start at zero; pitch and heading come
-    from the path angles; thrust closes the axial balance; body rates
+    Airflow angles and their rates start at zero, so pitch and heading
+    equal the path angles; thrust closes the axial balance; body rates
     follow from the Euler rates; the deflections balance the moments
     with zero angular acceleration.
     """
@@ -410,18 +372,17 @@ def initialize(profiles: KinematicProfiles, cfg: AircraftConfig,
     psi_w0 = float(profiles.psi_w[0])
 
     qbar0 = aero.dynamic_pressure(rho0, v0)
-    ref = aero.equilibrium_reference(cfg.mass, env.g, qbar0, cfg.wing_area,
+    ref = aero.equilibrium_reference(cfg.mass, ISA.g, qbar0, cfg.wing_area,
                                      cfg.aero.c_lift_alpha, cfg.aero.c_lift0)
     coeffs = replace(cfg.aero, c_lift0=ref.c_lift0_equib)
 
-    theta0, psi0 = kinematics.attitude_from_path(0.0, 0.0, phi0,
-                                                 theta_w0, psi_w0)
+    theta0, psi0 = theta_w0, psi_w0
     c_lift = coeffs.c_lift0
     c_drag = aero.drag_coefficient(c_lift, coeffs)
     c_x, c_y, c_z = aero.body_force_coefficients(c_drag, 0.0, c_lift,
                                                  0.0, 0.0)
     thrust0 = dynamics.thrust_from_force_balance(
-        mass=cfg.mass, g=env.g, s_ref=cfg.wing_area, qbar=qbar0,
+        mass=cfg.mass, g=ISA.g, s_ref=cfg.wing_area, qbar=qbar0,
         v_dot=v_dot0, alpha=0.0, beta=0.0, theta=theta0, phi=phi0,
         c_x=c_x, c_y=c_y, c_z=c_z)
 
@@ -458,8 +419,7 @@ def initialize(profiles: KinematicProfiles, cfg: AircraftConfig,
 # ----------------------------------------------------------------------
 
 
-def _make_rate_function(rows, t0, half_dt, cfg, coeffs, env, lag,
-                        sweeps=4):
+def _make_rate_function(rows, t0, half_dt, cfg, coeffs, lag, sweeps=4):
     """Stage rate function over the 12-variable state.
 
     The differentiated force balances need the angular accelerations,
@@ -478,7 +438,7 @@ def _make_rate_function(rows, t0, half_dt, cfg, coeffs, env, lag,
     honest scheme.
     """
     mass = cfg.mass
-    g = env.g
+    g = ISA.g
     s_ref = cfg.wing_area
     c_lift0 = coeffs.c_lift0
     c_lift_alpha = coeffs.c_lift_alpha
@@ -623,7 +583,7 @@ class SolutionHistory:
     r_dot: np.ndarray
     stall: np.ndarray
     reverse_thrust: np.ndarray
-    rate_gap: float | None = None
+    rate_gap: float  # max |averaged - direct| angular acceleration, rad/s^2
 
     @property
     def alpha_actual(self) -> np.ndarray:
@@ -635,37 +595,22 @@ class SolutionHistory:
                               thrust=self.thrust)
 
     def state_at(self, i: int) -> FlightState:
-        return FlightState(
-            t=float(self.t[i]), v=float(self.v[i]),
-            alpha=float(self.alpha[i]), beta=float(self.beta[i]),
-            p=float(self.p[i]), q=float(self.q[i]), r=float(self.r[i]),
-            phi=float(self.phi[i]), theta=float(self.theta[i]),
-            psi=float(self.psi[i]), theta_w=float(self.theta_w[i]),
-            psi_w=float(self.psi_w[i]), delta_l=float(self.delta_l[i]),
-            delta_m=float(self.delta_m[i]), delta_n=float(self.delta_n[i]),
-            thrust=float(self.thrust[i]), xg_dot=float(self.xg_dot[i]),
-            yg_dot=float(self.yg_dot[i]), zg_dot=float(self.zg_dot[i]),
-            alpha_dot=float(self.alpha_dot[i]),
-            beta_dot=float(self.beta_dot[i]),
-            theta_dot=float(self.theta_dot[i]),
-            psi_dot=float(self.psi_dot[i]),
-            thrust_dot=float(self.thrust_dot[i]))
+        return FlightState(**{f.name: float(getattr(self, f.name)[i])
+                              for f in fields(FlightState)})
 
 
-def solve(spec: TrajectorySpec, cfg: AircraftConfig,
-          env: FlightEnvironment = ISA,
-          diagnostics: bool = False) -> SolutionHistory:
+def solve(spec: TrajectorySpec, cfg: AircraftConfig) -> SolutionHistory:
     """Solve the inverse problem over the whole trajectory.
 
     Marches the twelve-variable state with fixed-step RK4; after each
     step the station's angular accelerations are taken as the weighted
     stage average, the auxiliary rates are re-evaluated algebraically at
     the new station, and the deflections are recovered from the moment
-    balance. With ``diagnostics`` the maximum gap between the averaged
-    angular accelerations and their direct re-evaluation is tracked.
+    balance. The largest gap between the averaged angular accelerations
+    and their direct re-evaluation is recorded as ``rate_gap``.
     """
-    profiles = setup(spec, env)
-    init = initialize(profiles, cfg, env)
+    profiles = setup(spec)
+    init = initialize(profiles, cfg)
     inertia = dynamics.inertia_system(cfg)
     coeffs = init.coeffs
     n = profiles.stations.count
@@ -674,7 +619,7 @@ def solve(spec: TrajectorySpec, cfg: AircraftConfig,
 
     rows = profiles.stage_rows()
     lag = [0.0, 0.0, 0.0]
-    rate_fn = _make_rate_function(rows, t0, 0.5 * dt, cfg, coeffs, env, lag)
+    rate_fn = _make_rate_function(rows, t0, 0.5 * dt, cfg, coeffs, lag)
 
     names = ("alpha", "beta", "theta", "psi", "thrust",
              "alpha_dot", "beta_dot", "theta_dot", "psi_dot",
@@ -731,12 +676,10 @@ def solve(spec: TrajectorySpec, cfg: AircraftConfig,
             # angular accelerations serve as the lagged values)
             lag[0], lag[1], lag[2] = p_avg, q_avg, r_avg
             rates_new = rate_fn(t_n + dt, y_new)
-            if diagnostics:
-                gap = max(abs(rates_new[9] - p_avg),
-                          abs(rates_new[10] - q_avg),
-                          abs(rates_new[11] - r_avg))
-                if gap > max_gap:
-                    max_gap = gap
+            gap = max(abs(rates_new[9] - p_avg), abs(rates_new[10] - q_avg),
+                      abs(rates_new[11] - r_avg))
+            if gap > max_gap:
+                max_gap = gap
             lag[0], lag[1], lag[2] = p_avg, q_avg, r_avg
 
             v_i = station_v[i + 1]
@@ -762,20 +705,10 @@ def solve(spec: TrajectorySpec, cfg: AircraftConfig,
         xg_dot=profiles.xg_dot.copy(), yg_dot=profiles.yg_dot.copy(),
         zg_dot=profiles.zg_dot.copy(),
         v=station_v.copy(),
-        alpha=out["alpha"], beta=out["beta"],
-        p=out["p"], q=out["q"], r=out["r"],
         phi=profiles.station(profiles.phi).copy(),
-        theta=out["theta"], psi=out["psi"],
         theta_w=profiles.station(profiles.theta_w).copy(),
         psi_w=profiles.station(profiles.psi_w).copy(),
-        delta_l=out["delta_l"], delta_m=out["delta_m"],
-        delta_n=out["delta_n"], thrust=out["thrust"],
-        alpha_dot=out["alpha_dot"], beta_dot=out["beta_dot"],
-        theta_dot=out["theta_dot"], psi_dot=out["psi_dot"],
-        thrust_dot=out["thrust_dot"],
-        p_dot=out["p_dot"], q_dot=out["q_dot"], r_dot=out["r_dot"],
-        stall=stall, reverse_thrust=reverse,
-        rate_gap=max_gap if diagnostics else None)
+        stall=stall, reverse_thrust=reverse, rate_gap=max_gap, **out)
 
 
 # ----------------------------------------------------------------------
@@ -812,7 +745,6 @@ class ConvergenceReport:
 
 
 def convergence_study(spec: TrajectorySpec, cfg: AircraftConfig, dts,
-                      env: FlightEnvironment = ISA,
                       threshold: float = 0.01) -> ConvergenceReport:
     """Solve at several step sizes and compare the control histories.
 
@@ -833,7 +765,7 @@ def convergence_study(spec: TrajectorySpec, cfg: AircraftConfig, dts,
     failures = {}
     for dt in dts:
         try:
-            solutions[dt] = solve(replace(spec, dt=dt), cfg, env)
+            solutions[dt] = solve(replace(spec, dt=dt), cfg)
         except SolverAbort as err:
             if isinstance(err.cause, NonFiniteState):
                 failures[dt] = err

@@ -2,18 +2,14 @@ import math
 
 import pytest
 
-from invflight import StallWarning
 from invflight.aero import (
-    STALL_ALPHA,
     body_force_coefficients,
     body_force_coefficient_rates,
     dimensionalize,
     drag_coefficient,
     dynamic_pressure,
     equilibrium_reference,
-    lift_coefficient,
     moment_coefficients,
-    side_force_coefficient,
 )
 
 from oracles import Sine, d1_5pt
@@ -31,35 +27,12 @@ class TestDynamicPressure:
 
 
 class TestLiftDragSide:
-    def test_lift_at_zero_alpha(self, mirage):
-        from dataclasses import replace
-        coeffs = replace(mirage.aero, c_lift0=0.245)
-        assert lift_coefficient(0.0, coeffs) == 0.245
-        assert lift_coefficient(0.0, mirage.aero) == 0.0
-
-    def test_lift_slope(self, mirage):
-        from dataclasses import replace
-        coeffs = replace(mirage.aero, c_lift0=0.245)
-        assert lift_coefficient(0.1, coeffs) == pytest.approx(0.4654)
-
-    def test_stall_warning_is_advisory(self, mirage):
-        with pytest.warns(StallWarning):
-            value = lift_coefficient(math.radians(17.0), mirage.aero)
-        # the value is still produced
-        assert value == pytest.approx(2.204 * math.radians(17.0))
-        assert STALL_ALPHA == pytest.approx(math.radians(15.0))
-
     def test_drag_polar(self, mirage):
         assert drag_coefficient(0.0, mirage.aero) == 0.015
         assert drag_coefficient(0.245, mirage.aero) == pytest.approx(0.03901)
         # even function of lift
         assert drag_coefficient(-0.245, mirage.aero) == \
             drag_coefficient(0.245, mirage.aero)
-
-    def test_side_force(self, mirage):
-        assert side_force_coefficient(0.0, mirage.aero) == 0.0
-        assert side_force_coefficient(0.1, mirage.aero) == pytest.approx(-0.06)
-        assert side_force_coefficient(-0.1, mirage.aero) == pytest.approx(0.06)
 
 
 class TestBodyForceCoefficients:

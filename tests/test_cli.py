@@ -87,6 +87,25 @@ class TestInverse:
         for name in ("delta_n", "theta", "alpha_actual", "T", "p"):
             assert cr[name] == pytest.approx(cd[name], rel=1e-8, abs=1e-12)
 
+    def test_non_finite_inputs_are_input_errors(self, tmp_path, capsys):
+        # the yaw data never enters the march, so before validation a NaN
+        # here ran to exit 0 with a NaN rudder column
+        cfg = tmp_path / "nan.cfg"
+        cfg.write_text("".join(
+            "C_n_beta = nan\n" if line.startswith("C_n_beta") else line
+            for line in Path(CONFIG).read_text().splitlines(keepends=True)))
+        assert run("inverse", "--maneuver", "level", "--dt", "1e-2",
+                   "--config", str(cfg), "--out", str(tmp_path)) == EXIT_INPUT
+        assert "[non_finite] c_yaw_beta = nan" in capsys.readouterr().err
+        man = tmp_path / "man.dat"
+        man.write_text("".join(
+            "%g %s 0 -10000 0\n" % (0.01 * i, "nan" if i == 48 else 2.0 * i)
+            for i in range(101)))
+        assert run("inverse", "--maneuver-file", str(man),
+                   "--out", str(tmp_path)) == EXIT_INPUT
+        assert "line 49: non-finite" in capsys.readouterr().err
+        assert not (tmp_path / "history.csv").exists()
+
     def test_unknown_maneuver_is_input_error(self, tmp_path, capsys):
         assert run("inverse", "--maneuver", "loop", "--out",
                    str(tmp_path)) == EXIT_INPUT

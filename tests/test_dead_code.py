@@ -1,0 +1,73 @@
+"""Dead-code guard: every top-level function and class in the package,
+and every method, is used somewhere in the package itself.
+
+A name counts as used when it is loaded as a bare name or as an
+attribute anywhere in ``src/invflight`` outside its own definition.
+Re-exports and ``__all__`` entries do not count. Names that are kept on
+purpose without a caller in the package are listed below with the
+reason.
+"""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "invflight"
+
+EXEMPT = {
+    "dynamics.sideslip_rate":
+        "undifferentiated lateral balance, kept as a residual relation "
+        "for the run report (ROADMAP item 3)",
+    "dynamics.aoa_rate":
+        "undifferentiated normal balance, kept as a residual relation "
+        "for the run report (ROADMAP item 3)",
+    "solver.SolutionHistory.state_at":
+        "public round-trip API: the forward simulator's initial state "
+        "from a solved station",
+    "errors.ConfigError.codes":
+        "public API of the typed input error: the violation codes a "
+        "library caller checks",
+}
+
+
+def _definitions(module, tree):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield f"{module}.{node.name}", node
+            if isinstance(node, ast.ClassDef):
+                for sub in node.body:
+                    if (isinstance(sub, ast.FunctionDef)
+                            and not sub.name.startswith("__")):
+                        yield f"{module}.{node.name}.{sub.name}", sub
+
+
+def _uses(node):
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            yield n.id
+        elif isinstance(n, ast.Attribute):
+            yield n.attr
+
+
+def _unused():
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8"))
+             for p in sorted(SRC.glob("*.py"))}
+    total = Counter()
+    for tree in trees.values():
+        total.update(_uses(tree))
+    unused = []
+    for module, tree in trees.items():
+        for qualname, node in _definitions(module, tree):
+            if total[node.name] - Counter(_uses(node))[node.name] <= 0:
+                unused.append(qualname)
+    return unused
+
+
+def test_every_definition_is_used_in_the_package():
+    unused = [q for q in _unused() if q not in EXEMPT]
+    assert unused == [], f"defined but never used in src: {unused}"
+
+
+def test_exemptions_are_current():
+    # an exemption whose name is gone or now used must be dropped
+    assert sorted(_unused()) == sorted(EXEMPT)

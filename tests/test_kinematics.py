@@ -1,27 +1,29 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from invflight import (
     DegenerateCoefficient,
     GimbalSingularity,
+    TrajectorySpec,
     VerticalFlight,
     ZeroVelocity,
+    setup,
 )
 from invflight.kinematics import (
     airflow_from_body,
     attitude_accels,
-    attitude_from_path,
     attitude_rates,
     body_rate_derivatives,
     body_rates_from_euler,
     euler_rates_from_body,
     ground_velocity_from_path,
     path_angles_from_attitude,
-    path_from_ground_velocity,
     velocity_triplet,
 )
+from invflight.model import AnalyticChannel, AnalyticManeuver
 
 from oracles import AttitudeMotion, d1_5pt, d2_5pt, d1_central
 
@@ -101,37 +103,34 @@ class TestBodyRateDerivatives:
             assert math.log2(e1 / e2) > 1.9
 
 
+def straight_line(z_rate):
+    """A trajectory at rest in x and y, moving at ``z_rate`` in z."""
+    def channel(offset, rate):
+        return AnalyticChannel(
+            f=lambda t: offset + rate * np.asarray(t, dtype=float),
+            d1=lambda t: np.full_like(np.asarray(t, dtype=float), rate),
+            d2=lambda t: np.zeros_like(np.asarray(t, dtype=float)),
+            d3=lambda t: np.zeros_like(np.asarray(t, dtype=float)))
+    return TrajectorySpec(
+        duration=1.0, dt=0.1, analytic=AnalyticManeuver(
+            x=channel(0.0, 0.0), y=channel(0.0, 0.0),
+            z=channel(-5000.0, z_rate), phi=channel(0.0, 0.0)))
+
+
 class TestPathGroundVelocity:
-    def test_straight_level(self):
-        assert path_from_ground_velocity(200.0, 0.0, 0.0) == (200.0, 0.0, 0.0)
-
-    def test_planar_45_degrees(self):
-        v, tw, pw = path_from_ground_velocity(100.0, 100.0, 0.0)
-        assert v == pytest.approx(141.4213562)
-        assert tw == 0.0
-        assert pw == pytest.approx(math.pi / 4)
-
     def test_vertical_flight_rejected(self):
-        with pytest.raises(VerticalFlight):
-            path_from_ground_velocity(0.0, 0.0, -100.0)
+        # a vertical climb has no path azimuth
+        with pytest.raises(VerticalFlight, match="station 0"):
+            setup(straight_line(-100.0))
 
     def test_zero_velocity_rejected(self):
-        with pytest.raises(ZeroVelocity):
-            path_from_ground_velocity(0.0, 0.0, 0.0)
+        # a hover has no path direction at all
+        with pytest.raises(ZeroVelocity, match="station 0"):
+            setup(straight_line(0.0))
 
     def test_pure_climb(self):
         assert ground_velocity_from_path(100.0, math.pi / 2, 0.3) == \
             pytest.approx((0.0, 0.0, -100.0), abs=1e-12)
-
-    def test_round_trip_random(self):
-        rng = random.Random(7)
-        for _ in range(200):
-            v = rng.uniform(1.0, 400.0)
-            tw = rng.uniform(-1.4, 1.4)
-            pw = rng.uniform(-math.pi + 1e-6, math.pi - 1e-6)
-            xd, yd, zd = ground_velocity_from_path(v, tw, pw)
-            back = path_from_ground_velocity(xd, yd, zd)
-            assert back == pytest.approx((v, tw, pw), abs=1e-12)
 
 
 class TestVelocityTriplet:
@@ -172,30 +171,6 @@ class TestAttitudePathCoupling:
     def test_origin(self):
         assert path_angles_from_attitude(0, 0, 0, 0, 0) == \
             pytest.approx((0.0, 0.0))
-
-    def test_attitude_from_path_identity(self):
-        for phi in (0.0, 1.2, -0.8):
-            th, ps = attitude_from_path(0.0, 0.0, phi, 0.1, -0.2)
-            assert (th, ps) == pytest.approx((0.1, -0.2), abs=1e-15)
-
-    def test_attitude_from_path_alpha_offset(self):
-        th, ps = attitude_from_path(0.05, 0.0, 0.0, 0.1, 0.0)
-        assert th == pytest.approx(0.15)
-        assert ps == pytest.approx(0.0, abs=1e-15)
-
-    def test_round_trip_random(self):
-        rng = random.Random(11)
-        for _ in range(200):
-            alpha = rng.uniform(-0.3, 0.3)
-            beta = rng.uniform(-0.3, 0.3)
-            phi = rng.uniform(-math.pi, math.pi)
-            theta = rng.uniform(-0.8, 0.8)
-            psi = rng.uniform(-2.0, 2.0)
-            tw, pw = path_angles_from_attitude(alpha, beta, phi, theta, psi)
-            th, ps = attitude_from_path(alpha, beta, phi, tw, pw)
-            tw2, pw2 = path_angles_from_attitude(alpha, beta, phi, th, ps)
-            # the recovered attitude reproduces the same path direction
-            assert (tw2, pw2) == pytest.approx((tw, pw), abs=1e-10)
 
 
 class TestAttitudeRateEquations:

@@ -52,6 +52,13 @@ class TestValidateConfig:
         assert "non_positive_mass" in err.value.codes
         assert "non_positive_lift_slope" in err.value.codes
 
+    def test_non_finite_fields_rejected(self, mirage):
+        bad = replace(mirage, mass=math.inf,
+                      aero=replace(mirage.aero, c_yaw_beta=math.nan))
+        with pytest.raises(ConfigError, match="c_yaw_beta = nan") as err:
+            validate_config(bad)
+        assert err.value.codes.count("non_finite") == 2
+
     def test_inertia_determinant_mirage(self, mirage):
         # D = F = 0 reduction: A*B*C - B*E^2
         expected = (mirage.i_roll * mirage.i_pitch * mirage.i_yaw
@@ -137,6 +144,14 @@ class TestSampledManeuverFile:
         self._write(path, ["0 0 0 -5000 0", "0.1 1 0 -5000 0",
                            "0.25 2 0 -5000 0", "0.3 3 0 -5000 0"])
         with pytest.raises(ConfigFileError, match="uniform"):
+            load_sampled_maneuver(path)
+
+    def test_non_finite_entry_cites_line(self, tmp_path):
+        path = tmp_path / "man.dat"
+        rows = ["%g %g 0 -5000 0" % (0.1 * i, 15.0 * i) for i in range(6)]
+        rows[3] = "0.3 nan 0 -5000 0"
+        self._write(path, rows)
+        with pytest.raises(ConfigFileError, match="line 4: non-finite"):
             load_sampled_maneuver(path)
 
     def test_too_few_rows(self, tmp_path):

@@ -5,8 +5,6 @@ import pytest
 
 from invflight import GridTooShort
 from invflight.numerics import (
-    SampledSignal,
-    UniformGrid,
     fd_first_derivative,
     fd_second_derivative,
     fd_third_derivative,
@@ -77,13 +75,6 @@ class TestStencils:
             fd_second_derivative(np.arange(3.0), 0.1)
         with pytest.raises(GridTooShort):
             fd_third_derivative(np.arange(4.0), 0.1)
-
-    def test_sampled_signal_wrappers(self):
-        grid = UniformGrid(0.0, 0.1, 11)
-        sig = SampledSignal(grid, grid.times() ** 2)
-        assert sig.first_derivative().values == pytest.approx(
-            2 * grid.times(), rel=1e-12)
-        assert sig.second_derivative().grid == grid
 
 
 class TestRK4:
