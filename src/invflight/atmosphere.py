@@ -18,12 +18,22 @@ TROPOPAUSE_ALTITUDE = 11_000.0  # m
 
 
 def _check_range(z_g):
+    if isinstance(z_g, float):
+        # scalar path of the forward simulator; NaN passes as with numpy
+        alt = -z_g
+        if alt < 0.0 or alt > TROPOPAUSE_ALTITUDE:
+            _raise_out_of_range(alt)
+        return
     alt = -np.asarray(z_g, dtype=float)
     bad = (alt < 0.0) | (alt > TROPOPAUSE_ALTITUDE)
     if np.any(bad):
-        worst = float(np.atleast_1d(alt)[np.argmax(np.atleast_1d(bad))])
-        raise AltitudeOutOfRange(
-            f"altitude {worst:.1f} m outside [0, {TROPOPAUSE_ALTITUDE:.0f}] m")
+        _raise_out_of_range(
+            float(np.atleast_1d(alt)[np.argmax(np.atleast_1d(bad))]))
+
+
+def _raise_out_of_range(alt):
+    raise AltitudeOutOfRange(
+        f"altitude {alt:.1f} m outside [0, {TROPOPAUSE_ALTITUDE:.0f}] m")
 
 
 def density(z_g):

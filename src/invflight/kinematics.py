@@ -163,14 +163,20 @@ def path_angles_from_attitude(alpha, beta, phi, theta, psi):
     bank. The azimuth uses the arcsine branch, so the heading offset
     |psi_w - psi| must stay below 90 deg.
     """
-    lat, vert, ax = _aggregates(alpha, beta, phi, 0, 0, 0, 0, 0, 0)
+    sa, ca = math.sin(alpha), math.cos(alpha)
+    sb, cb = math.sin(beta), math.cos(beta)
+    sp, cp = math.sin(phi), math.cos(phi)
+    cb_sa = cb * sa
+    lat = sb * cp - cb_sa * sp
+    vert = sb * sp + cb_sa * cp
+    ax = cb * ca
     st, ct = math.sin(theta), math.cos(theta)
-    s = ax[0] * st - vert[0] * ct
+    s = ax * st - vert * ct
     theta_w = math.asin(min(1.0, max(-1.0, s)))
     ctw = math.cos(theta_w)
     if ctw < _GIMBAL_TOL:
         raise VerticalFlight("flight path is vertical; azimuth undefined")
-    arg = lat[0] / ctw
+    arg = lat / ctw
     if abs(arg) > 1.0 + 1e-12:
         raise NoSolution("no heading satisfies the lateral coupling")
     psi_w = psi + math.asin(min(1.0, max(-1.0, arg)))

@@ -54,6 +54,9 @@ class FlightEnvironment:
 
 ISA = FlightEnvironment()
 
+# the five-point boundary stencils of the third derivative
+_MIN_SAMPLE_ROWS = 5
+
 
 @dataclass(frozen=True)
 class AeroCoefficients:
@@ -248,7 +251,11 @@ class TrajectorySpec:
             if any(len(a) != n for a in (s.x, s.y, s.z, s.phi)):
                 problems.append(("ragged_samples",
                                  "sample columns have unequal lengths"))
-            elif n >= 2:
+            elif n < _MIN_SAMPLE_ROWS:
+                problems.append(("too_few_samples",
+                                 f"{n} sample rows; the third-derivative "
+                                 f"stencil needs at least {_MIN_SAMPLE_ROWS}"))
+            else:
                 steps = np.diff(s.t)
                 if np.max(np.abs(steps - self.dt)) > 1e-9 * max(self.dt, 1.0):
                     problems.append(("non_uniform_samples",
@@ -457,9 +464,10 @@ def load_sampled_maneuver(path) -> TrajectorySpec:
                 raise ConfigFileError(
                     f"{path}: line {lineno}: non-finite entry")
             rows.append(row)
-    if len(rows) < 4:
+    if len(rows) < _MIN_SAMPLE_ROWS:
         raise ConfigFileError(
-            f"{path}: only {len(rows)} sample rows; at least 4 required")
+            f"{path}: only {len(rows)} sample rows; at least "
+            f"{_MIN_SAMPLE_ROWS} required")
     data = np.asarray(rows, dtype=float)
     t = data[:, 0]
     steps = np.diff(t)

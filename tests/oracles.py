@@ -1,5 +1,5 @@
-"""Shared oracles: finite-difference checks, synthetic smooth motions and
-a textbook 6-DOF.
+"""Shared oracles: finite-difference checks, synthetic smooth motions, the
+pass-by-pass angular-acceleration cascade and a textbook 6-DOF.
 
 The differentiated flight equations are verified against their parent
 algebraic relations along closed-form sinusoidal motions. Where a parent
@@ -7,6 +7,9 @@ relation constrains one of its own inputs (the lateral balance fixes the
 roll rate needed for a prescribed sideslip rate, the normal balance the
 pitch rate), the motion is made exactly consistent by solving the affine
 dependence of the parent on that input.
+
+``swept_stage_rates`` runs the solver's cascade the long way, one
+kernel pass per sweep, for the closed-form closure to be checked against.
 
 ``TextbookSixDof`` flies solved control histories through the body-axes
 equations of motion written from the textbook, with none of the
@@ -19,7 +22,7 @@ import math
 
 import numpy as np
 
-from invflight import aero, dynamics, mirage_iii
+from invflight import aero, dynamics, kinematics, mirage_iii
 from invflight.model import (
     ISA,
     AeroCoefficients,
@@ -190,6 +193,63 @@ class WindChannelMotion:
             c_x_dot=cx_d, c_y_dot=cy_d, c_z_dot=cz_d)
         return kw
 
+
+
+def swept_stage_rates(row, state, seed, cfg, coeffs, sweeps):
+    """The twelve stage rates with the angular-acceleration cascade run
+    pass by pass through the four public kernels.
+
+    ``row`` is one half-step tuple of ``KinematicProfiles.stage_rows``,
+    ``state`` the twelve-variable march state and ``seed`` the
+    (p', q', r') the first pass starts from; each of the ``sweeps``
+    passes feeds the previous pass's body-rate derivatives back in.
+    """
+    (alpha, beta, theta, psi, thrust,
+     alpha_dot, beta_dot, theta_dot, psi_dot, p, q, r) = state
+    (v, v_dot, v_ddot, theta_w, theta_w_dot, theta_w_ddot,
+     psi_w, psi_w_dot, psi_w_ddot, phi, phi_dot, phi_ddot,
+     rho, rho_dot) = row
+    qbar = 0.5 * rho * v * v
+    qbar_dot = 0.5 * rho_dot * v * v + rho * v * v_dot
+    c_lift = coeffs.c_lift0 + coeffs.c_lift_alpha * alpha
+    c_lift_dot = coeffs.c_lift_alpha * alpha_dot
+    c_drag = coeffs.c_drag0 + coeffs.k_drag * c_lift * c_lift
+    c_drag_dot = 2.0 * coeffs.k_drag * c_lift * c_lift_dot
+    c_side = coeffs.c_side_beta * beta
+    c_side_dot = coeffs.c_side_beta * beta_dot
+    c_x, c_y, c_z = aero.body_force_coefficients(c_drag, c_side, c_lift,
+                                                 alpha, beta)
+    c_x_dot, c_y_dot, c_z_dot = aero.body_force_coefficient_rates(
+        c_drag, c_side, c_lift, c_drag_dot, c_side_dot, c_lift_dot,
+        alpha, beta, alpha_dot, beta_dot)
+    balance = dict(mass=cfg.mass, g=ISA.g, s_ref=cfg.wing_area, qbar=qbar,
+                   qbar_dot=qbar_dot, thrust=thrust, alpha=alpha, beta=beta,
+                   theta=theta, phi=phi, alpha_dot=alpha_dot,
+                   beta_dot=beta_dot, theta_dot=theta_dot, phi_dot=phi_dot,
+                   c_x=c_x, c_y=c_y, c_z=c_z, c_x_dot=c_x_dot,
+                   c_y_dot=c_y_dot, c_z_dot=c_z_dot)
+    thrust_dot = dynamics.thrust_rate(v_ddot=v_ddot, **balance)
+    balance.update(v=v, v_dot=v_dot, thrust_dot=thrust_dot, p=p, r=r)
+
+    p_dot, q_dot, r_dot = seed
+    for _ in range(sweeps):
+        beta_ddot = dynamics.sideslip_accel(p_dot=p_dot, r_dot=r_dot,
+                                            **balance)
+        alpha_ddot = dynamics.aoa_accel(q=q, p_dot=p_dot, q_dot=q_dot,
+                                        r_dot=r_dot, **balance)
+        theta_ddot, psi_ddot = kinematics.attitude_accels(
+            alpha=alpha, beta=beta, phi=phi, alpha_dot=alpha_dot,
+            beta_dot=beta_dot, phi_dot=phi_dot, alpha_ddot=alpha_ddot,
+            beta_ddot=beta_ddot, phi_ddot=phi_ddot, theta=theta, psi=psi,
+            theta_dot=theta_dot, psi_dot=psi_dot, theta_w=theta_w,
+            psi_w=psi_w, theta_w_dot=theta_w_dot, psi_w_dot=psi_w_dot,
+            theta_w_ddot=theta_w_ddot, psi_w_ddot=psi_w_ddot)
+        p_dot, q_dot, r_dot = kinematics.body_rate_derivatives(
+            phi, theta, phi_dot, theta_dot, psi_dot,
+            phi_ddot, theta_ddot, psi_ddot)
+    return (alpha_dot, beta_dot, theta_dot, psi_dot, thrust_dot,
+            alpha_ddot, beta_ddot, theta_ddot, psi_ddot,
+            p_dot, q_dot, r_dot)
 
 
 def _mat_vec(m, v):

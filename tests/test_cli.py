@@ -106,6 +106,17 @@ class TestInverse:
         assert "line 49: non-finite" in capsys.readouterr().err
         assert not (tmp_path / "history.csv").exists()
 
+    def test_four_sample_rows_is_input_error(self, tmp_path, capsys):
+        # four rows pass the parser, but the sampled set-up differentiates
+        # three times, and that stencil needs five
+        man = tmp_path / "man.dat"
+        man.write_text("".join("%g %g 0 -10000 0\n" % (0.01 * i, 2.0 * i)
+                               for i in range(4)))
+        assert run("inverse", "--maneuver-file", str(man),
+                   "--out", str(tmp_path)) == EXIT_INPUT
+        assert "only 4 sample rows; at least 5" in capsys.readouterr().err
+        assert not (tmp_path / "history.csv").exists()
+
     def test_unknown_maneuver_is_input_error(self, tmp_path, capsys):
         assert run("inverse", "--maneuver", "loop", "--out",
                    str(tmp_path)) == EXIT_INPUT

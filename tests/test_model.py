@@ -13,7 +13,7 @@ from invflight import (
     load_sampled_maneuver,
     validate_config,
 )
-from invflight.model import CONFIG_KEYS
+from invflight.model import CONFIG_KEYS, SampledManeuver
 
 CONFIG_PATH = Path(__file__).resolve().parents[1] / "configs" / "mirage3.cfg"
 
@@ -112,6 +112,17 @@ class TestTrajectorySpec:
             spec.validate()
         assert "too_few_stations" in err.value.codes
 
+    def test_too_few_samples_rejected(self):
+        # the third-derivative stencil of the sampled set-up needs 5 rows
+        t = 0.1 * np.arange(4)
+        spec = TrajectorySpec(
+            duration=0.3, dt=0.1, samples=SampledManeuver(
+                t=t, x=150.0 * t, y=0.0 * t, z=-5000.0 + 0.0 * t,
+                phi=0.0 * t))
+        with pytest.raises(ConfigError, match="4 sample rows") as err:
+            spec.validate()
+        assert err.value.codes == ["too_few_samples"]
+
     def test_duration_must_be_step_multiple(self):
         spec = TrajectorySpec(duration=1.05, dt=0.1)
         with pytest.raises(ConfigError) as err:
@@ -142,7 +153,8 @@ class TestSampledManeuverFile:
     def test_non_uniform_times(self, tmp_path):
         path = tmp_path / "man.dat"
         self._write(path, ["0 0 0 -5000 0", "0.1 1 0 -5000 0",
-                           "0.25 2 0 -5000 0", "0.3 3 0 -5000 0"])
+                           "0.25 2 0 -5000 0", "0.3 3 0 -5000 0",
+                           "0.4 4 0 -5000 0"])
         with pytest.raises(ConfigFileError, match="uniform"):
             load_sampled_maneuver(path)
 
@@ -157,5 +169,5 @@ class TestSampledManeuverFile:
     def test_too_few_rows(self, tmp_path):
         path = tmp_path / "man.dat"
         self._write(path, ["0 0 0 -5000 0", "0.1 1 0 -5000 0"])
-        with pytest.raises(ConfigFileError, match="at least 4"):
+        with pytest.raises(ConfigFileError, match="at least 5"):
             load_sampled_maneuver(path)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,10 +14,11 @@ from invflight import (
     setup,
     solve,
 )
+from invflight import solver
 from invflight.model import AnalyticChannel, AnalyticManeuver
 from invflight.solver import MANEUVERS
 
-from oracles import Sine
+from oracles import Sine, swept_stage_rates
 
 
 def channel_from_sine(s):
@@ -354,6 +356,70 @@ class TestSolve:
         assert worst_coupling < 1e-8
         assert worst_axial < 1e-5       # N, against a ~10 kN channel
         assert worst_lateral < 5e-4     # limited by the checking stencil
+
+
+def banked_climbing_turn(dt=1e-2, duration=3.0):
+    """Coordinated climbing turn: 200 m/s on a 4 km radius, 45.5 deg bank,
+    climbing 10 m/s."""
+    spec = helix_spec(radius=4000.0, omega=0.05, sink=-10.0, depth=5000.0,
+                      duration=duration, dt=dt)
+    bank = math.atan(200.0 * 0.05 / 9.81)
+    return replace(spec, name="banked-climb", analytic=replace(
+        spec.analytic, phi=constant_channel(bank)))
+
+
+class TestCascadeClosure:
+    """The closed-form cascade passes against the pass-by-pass oracle."""
+
+    @staticmethod
+    def stage_calls(spec, cfg, monkeypatch):
+        """Every stage evaluation of a solve as (time, state, seed), and
+        the arguments its rate function was built from."""
+        built = {}
+        calls = []
+        make = solver._make_rate_function
+
+        def recording(rows, t0, half_dt, cfg_, coeffs, lag):
+            built.update(rows=rows, t0=t0, half_dt=half_dt, coeffs=coeffs)
+            rates = make(rows, t0, half_dt, cfg_, coeffs, lag)
+
+            def record(t, state):
+                calls.append((t, tuple(state), tuple(lag)))
+                return rates(t, state)
+
+            return record
+
+        monkeypatch.setattr(solver, "_make_rate_function", recording)
+        solve(spec, cfg)
+        monkeypatch.undo()
+        return built, calls
+
+    @pytest.mark.parametrize("maneuver", ["roll", "banked-climb"])
+    def test_all_stage_rates_match_swept_cascade(self, mirage, monkeypatch,
+                                                 maneuver):
+        spec = (maneuver_spec("mirage-roll", 1e-2) if maneuver == "roll"
+                else banked_climbing_turn())
+        built, calls = self.stage_calls(spec, mirage, monkeypatch)
+        rows, t0, half_dt = built["rows"], built["t0"], built["half_dt"]
+        calls = calls[::7]
+        for sweeps in (1, 2, 4, 8):
+            monkeypatch.setattr(solver, "CASCADE_SWEEPS", sweeps)
+            lag = [0.0, 0.0, 0.0]
+            rates = solver._make_rate_function(rows, t0, half_dt, mirage,
+                                               built["coeffs"], lag)
+            got, want = [], []
+            for t, state, seed in calls:
+                lag[:] = seed
+                got.append(rates(t, state))
+                row = rows[int(round((t - t0) / half_dt))]
+                want.append(swept_stage_rates(row, state, seed, mirage,
+                                              built["coeffs"], sweeps))
+            got, want = np.array(got), np.array(want)
+            # each rate channel relative to its peak over the stages
+            peak = np.max(np.abs(want), axis=0)
+            assert np.all(peak > 0.0)
+            err = np.max(np.abs(got - want), axis=0) / peak
+            assert np.all(err <= 1e-12), (sweeps, err)
 
 
 class TestConvergenceStudy:
