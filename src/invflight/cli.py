@@ -130,17 +130,20 @@ def _history_columns(hist: solver.SolutionHistory, unit: str):
     return cols
 
 
+# one history row: the value columns as ``_fmt`` writes them, then flags
+_HISTORY_ROW = (",".join(["%.9g"] * (len(HISTORY_HEADER.split(",")) - 1))
+                + ",%d\n")
+
+
 def write_history(hist: solver.SolutionHistory, path, unit: str):
     cols = _history_columns(hist, unit)
     names = HISTORY_HEADER.split(",")
-    arrays = [cols[n] for n in names]
+    # ``+ 0.0`` turns -0.0 into 0.0, as ``_fmt`` does
+    rows = zip(*[(cols[n] + 0.0).tolist() for n in names[:-1]],
+               cols["flags"].tolist())
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(HISTORY_HEADER + "\n")
-        flags = arrays[-1]
-        data = arrays[:-1]
-        for i in range(len(hist.t)):
-            fh.write(",".join(_fmt(a[i]) for a in data))
-            fh.write(",%d\n" % flags[i])
+        fh.writelines([_HISTORY_ROW % row for row in rows])
 
 
 def write_summary(hist: solver.SolutionHistory, path, unit: str,
@@ -311,7 +314,7 @@ def run_trim(args) -> int:
 def run_converge(args) -> int:
     cfg = _load_aircraft(args)
     report = solver.convergence_study(_resolve_spec(args, None), cfg,
-                                      args.dts, threshold=args.threshold)
+                                      args.dt, threshold=args.threshold)
     lines = ["dt_coarse,dt_fine,delta_l,delta_m,delta_n,thrust,diverged"]
     for pair in report.pairs:
         m = pair.metrics
@@ -386,8 +389,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("converge", help="step-size sensitivity study")
     add_common(p)
-    p.add_argument("--dt", type=float, action="append", dest="dts",
-                   required=True,
+    p.add_argument("--dt", type=float, action="append", required=True,
                    help="time step, s (give at least twice)")
     p.add_argument("--threshold", type=float, default=0.01,
                    help="relative deviation verdict threshold")
@@ -404,9 +406,23 @@ _RUNNERS = {
 }
 
 
+def _check_finite(args):
+    """Reject a NaN or infinite value of any float option (``converge``
+    collects its repeated ``--dt`` in a list)."""
+    bad = []
+    for dest, value in vars(args).items():
+        for x in value if isinstance(value, list) else (value,):
+            if isinstance(x, float) and not math.isfinite(x):
+                bad.append(("non_finite",
+                            f"--{dest.replace('_', '-')} {x} is not finite"))
+    if bad:
+        raise ConfigError(bad)
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        _check_finite(args)
         return _RUNNERS[args.subcommand](args)
     except (ConfigError, ConfigFileError, FileNotFoundError, OSError) as err:
         print(f"input error: {err}", file=sys.stderr)

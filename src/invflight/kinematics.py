@@ -120,40 +120,46 @@ def airflow_from_body(u, v_side, w):
 # so that
 #   cos(theta_w) sin(psi_w - psi) = lat
 #   sin(theta_w) = ax sin(theta) - vert cos(theta)
-# Each aggregate and its first two time derivatives are assembled from
-# (value, d/dt, d2/dt2) triples of the individual trig factors.
+# Each aggregate and its first two time derivatives are assembled by the
+# chain and product rules from (value, d/dt, d2/dt2) of the individual
+# trig factors.
 # ----------------------------------------------------------------------
-
-
-def _sin_chain(x, xd, xdd):
-    s, c = math.sin(x), math.cos(x)
-    return s, c * xd, c * xdd - s * xd * xd
-
-
-def _cos_chain(x, xd, xdd):
-    s, c = math.sin(x), math.cos(x)
-    return c, -s * xd, -s * xdd - c * xd * xd
-
-
-def _mul(a, b):
-    return (a[0] * b[0],
-            a[1] * b[0] + a[0] * b[1],
-            a[2] * b[0] + 2.0 * a[1] * b[1] + a[0] * b[2])
 
 
 def _aggregates(alpha, beta, phi, alpha_dot, beta_dot, phi_dot,
                 alpha_ddot, beta_ddot, phi_ddot):
-    sa = _sin_chain(alpha, alpha_dot, alpha_ddot)
-    ca = _cos_chain(alpha, alpha_dot, alpha_ddot)
-    sb = _sin_chain(beta, beta_dot, beta_ddot)
-    cb = _cos_chain(beta, beta_dot, beta_ddot)
-    sp = _sin_chain(phi, phi_dot, phi_ddot)
-    cp = _cos_chain(phi, phi_dot, phi_ddot)
-    cb_sa = _mul(cb, sa)
-    lat = tuple(x - y for x, y in zip(_mul(sb, cp), _mul(cb_sa, sp)))
-    vert = tuple(x + y for x, y in zip(_mul(sb, sp), _mul(cb_sa, cp)))
-    ax = _mul(cb, ca)
-    return lat, vert, ax
+    """(lat, lat', lat'', vert, vert', vert'', ax, ax', ax'')."""
+    sa, ca = math.sin(alpha), math.cos(alpha)
+    sb, cb = math.sin(beta), math.cos(beta)
+    sp, cp = math.sin(phi), math.cos(phi)
+    # first and second derivatives of each trig factor
+    sa1 = ca * alpha_dot
+    sa2 = ca * alpha_ddot - sa * alpha_dot * alpha_dot
+    ca1 = -sa * alpha_dot
+    ca2 = -sa * alpha_ddot - ca * alpha_dot * alpha_dot
+    sb1 = cb * beta_dot
+    sb2 = cb * beta_ddot - sb * beta_dot * beta_dot
+    cb1 = -sb * beta_dot
+    cb2 = -sb * beta_ddot - cb * beta_dot * beta_dot
+    sp1 = cp * phi_dot
+    sp2 = cp * phi_ddot - sp * phi_dot * phi_dot
+    cp1 = -sp * phi_dot
+    cp2 = -sp * phi_ddot - cp * phi_dot * phi_dot
+    # the product cos(beta) sin(alpha)
+    m0 = cb * sa
+    m1 = cb1 * sa + cb * sa1
+    m2 = cb2 * sa + 2.0 * cb1 * sa1 + cb * sa2
+    return (sb * cp - m0 * sp,
+            (sb1 * cp + sb * cp1) - (m1 * sp + m0 * sp1),
+            ((sb2 * cp + 2.0 * sb1 * cp1 + sb * cp2)
+             - (m2 * sp + 2.0 * m1 * sp1 + m0 * sp2)),
+            sb * sp + m0 * cp,
+            (sb1 * sp + sb * sp1) + (m1 * cp + m0 * cp1),
+            ((sb2 * sp + 2.0 * sb1 * sp1 + sb * sp2)
+             + (m2 * cp + 2.0 * m1 * cp1 + m0 * cp2)),
+            cb * ca,
+            cb1 * ca + cb * ca1,
+            cb2 * ca + 2.0 * cb1 * ca1 + cb * ca2)
 
 
 def path_angles_from_attitude(alpha, beta, phi, theta, psi):
@@ -191,16 +197,16 @@ def attitude_rates(*, alpha, beta, phi, alpha_dot, beta_dot, phi_dot,
     psi_dot; everything else (airflow angles, bank, path angles and all
     their rates) must be known.
     """
-    lat, vert, ax = _aggregates(alpha, beta, phi,
-                                alpha_dot, beta_dot, phi_dot, 0, 0, 0)
+    lat, lat1, _, vert, vert1, _, ax, ax1, _ = _aggregates(
+        alpha, beta, phi, alpha_dot, beta_dot, phi_dot, 0, 0, 0)
     st, ct = math.sin(theta), math.cos(theta)
     stw, ctw = math.sin(theta_w), math.cos(theta_w)
 
-    denom = ax[0] * ct + vert[0] * st
+    denom = ax * ct + vert * st
     if abs(denom) < _GIMBAL_TOL:
         raise DegenerateCoefficient(
             "pitch-rate coefficient vanished in the vertical coupling")
-    theta_dot = (ctw * theta_w_dot - ax[1] * st + vert[1] * ct) / denom
+    theta_dot = (ctw * theta_w_dot - ax1 * st + vert1 * ct) / denom
 
     d = psi_w - psi
     sd, cd = math.sin(d), math.cos(d)
@@ -208,7 +214,7 @@ def attitude_rates(*, alpha, beta, phi, alpha_dot, beta_dot, phi_dot,
     if ccd < _GIMBAL_TOL:
         raise DegenerateCoefficient(
             "heading offset from the velocity vector reached 90 deg")
-    psi_dot = psi_w_dot - (lat[1] + stw * theta_w_dot * sd) / ccd
+    psi_dot = psi_w_dot - (lat1 + stw * theta_w_dot * sd) / ccd
     return theta_dot, psi_dot
 
 
@@ -218,20 +224,20 @@ def attitude_accels(*, alpha, beta, phi, alpha_dot, beta_dot, phi_dot,
                     theta_w_dot, psi_w_dot, theta_w_ddot, psi_w_ddot):
     """Pitch and heading accelerations from the twice-differentiated
     coupling relations, solved for (theta_ddot, psi_ddot)."""
-    lat, vert, ax = _aggregates(alpha, beta, phi,
-                                alpha_dot, beta_dot, phi_dot,
-                                alpha_ddot, beta_ddot, phi_ddot)
+    _, _, lat2, vert, vert1, vert2, ax, ax1, ax2 = _aggregates(
+        alpha, beta, phi, alpha_dot, beta_dot, phi_dot,
+        alpha_ddot, beta_ddot, phi_ddot)
     st, ct = math.sin(theta), math.cos(theta)
     stw, ctw = math.sin(theta_w), math.cos(theta_w)
 
-    denom = ax[0] * ct + vert[0] * st
+    denom = ax * ct + vert * st
     if abs(denom) < _GIMBAL_TOL:
         raise DegenerateCoefficient(
             "pitch-acceleration coefficient vanished in the vertical coupling")
     theta_ddot = (ctw * theta_w_ddot - stw * theta_w_dot * theta_w_dot
-                  - ax[2] * st + vert[2] * ct
-                  - 2.0 * theta_dot * (ax[1] * ct + vert[1] * st)
-                  + theta_dot * theta_dot * (ax[0] * st - vert[0] * ct)
+                  - ax2 * st + vert2 * ct
+                  - 2.0 * theta_dot * (ax1 * ct + vert1 * st)
+                  + theta_dot * theta_dot * (ax * st - vert * ct)
                   ) / denom
 
     d = psi_w - psi
@@ -241,7 +247,7 @@ def attitude_accels(*, alpha, beta, phi, alpha_dot, beta_dot, phi_dot,
         raise DegenerateCoefficient(
             "heading offset from the velocity vector reached 90 deg")
     d_dot = psi_w_dot - psi_dot
-    d_ddot = (lat[2]
+    d_ddot = (lat2
               + (ctw * theta_w_dot * theta_w_dot + stw * theta_w_ddot) * sd
               + 2.0 * stw * theta_w_dot * cd * d_dot
               + ctw * sd * d_dot * d_dot) / ccd

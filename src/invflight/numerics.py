@@ -76,25 +76,29 @@ def fd_third_derivative(values, dt: float) -> np.ndarray:
 
 
 def _axpy(y, k, s):
-    return tuple(yi + ki * s for yi, ki in zip(y, k))
+    return tuple([yi + ki * s for yi, ki in zip(y, k)])
 
 
-def rk4_step(f, t, y, dt):
+def rk4_step(f, t, y, dt, k1=None):
     """One classical fourth-order Runge-Kutta step.
 
     ``y`` is a sequence of floats; ``f(t, y)`` returns the rate sequence.
     Stages are evaluated strictly in order (the rate function may keep
-    internal stage-lagged values). Returns ``(y_new, (k1, k2, k3, k4))``
-    so the caller can form weighted stage averages; by construction
-    (k1 + 2 k2 + 2 k3 + k4)/6 equals (y_new - y_old)/dt.
+    internal stage-lagged values). A caller that already holds
+    ``f(t, y)`` passes it as ``k1`` and the step makes three calls
+    instead of four; that is only the same step if evaluating ``f(t, y)``
+    now would return ``k1`` and leave the same internal state behind.
+    Returns ``(y_new, (k1, k2, k3, k4))`` so the caller can form weighted
+    stage averages; by construction (k1 + 2 k2 + 2 k3 + k4)/6 equals
+    (y_new - y_old)/dt.
     """
     half = 0.5 * dt
-    k1 = f(t, y)
+    if k1 is None:
+        k1 = f(t, y)
     k2 = f(t + half, _axpy(y, k1, half))
     k3 = f(t + half, _axpy(y, k2, half))
     k4 = f(t + dt, _axpy(y, k3, dt))
     sixth = dt / 6.0
-    y_new = tuple(
-        yi + sixth * (a + 2.0 * (b + c) + d)
-        for yi, a, b, c, d in zip(y, k1, k2, k3, k4))
+    y_new = tuple([yi + sixth * (a + 2.0 * (b + c) + d)
+                   for yi, a, b, c, d in zip(y, k1, k2, k3, k4)])
     return y_new, (k1, k2, k3, k4)

@@ -25,7 +25,9 @@ accelerations from the previous stage (station values for the first
 stage). That cascade is affine in its seed, so it runs once through the
 kernels and its remaining ``CASCADE_SWEEPS - 1`` passes are applied in
 closed form through the stage Jacobian; the repeats keep the seed error
-negligible at coarse steps.
+negligible at coarse steps. The re-evaluation at each new station, seeded
+with the step's averaged angular accelerations, is also the next step's
+first stage (first same as last), so a step costs four rate evaluations.
 """
 
 from __future__ import annotations
@@ -666,7 +668,8 @@ def solve(spec: TrajectorySpec, cfg: AircraftConfig) -> SolutionHistory:
     stage average, the auxiliary rates are re-evaluated algebraically at
     the new station, and the deflections are recovered from the moment
     balance. The largest gap between the averaged angular accelerations
-    and their direct re-evaluation is recorded as ``rate_gap``.
+    and their direct re-evaluation is recorded as ``rate_gap``. Each
+    re-evaluation serves as the next step's k1.
     """
     profiles = setup(spec)
     init = initialize(profiles, cfg)
@@ -707,17 +710,17 @@ def solve(spec: TrajectorySpec, cfg: AircraftConfig) -> SolutionHistory:
         stall[i] = abs(state[0] + alpha_shift) > aero.STALL_ALPHA
         reverse[i] = state[4] < 0.0
 
-    # station 0: auxiliary thrust rate evaluated at the initial state
-    rates0 = rate_fn(t0, y)
-    lag[0] = lag[1] = lag[2] = 0.0
-    record(0, y, (s0.delta_l, s0.delta_m, s0.delta_n), rates0[4],
+    # station 0: auxiliary thrust rate evaluated at the initial state,
+    # seeded with zero angular accelerations; it is also step 0's k1
+    rates_new = rate_fn(t0, y)
+    record(0, y, (s0.delta_l, s0.delta_m, s0.delta_n), rates_new[4],
            (0.0, 0.0, 0.0))
 
     max_gap = 0.0
     for i in range(n - 1):
         t_n = t0 + i * dt
         try:
-            y_new, ks = rk4_step(rate_fn, t_n, y, dt)
+            y_new, ks = rk4_step(rate_fn, t_n, y, dt, rates_new)
             k1, k2, k3, k4 = ks
             p_avg = (k1[9] + 2.0 * (k2[9] + k3[9]) + k4[9]) / 6.0
             q_avg = (k1[10] + 2.0 * (k2[10] + k3[10]) + k4[10]) / 6.0
@@ -732,14 +735,15 @@ def solve(spec: TrajectorySpec, cfg: AircraftConfig) -> SolutionHistory:
                 raise NonFiniteState("integrated state went non-finite")
 
             # algebraic re-evaluation at the new station (the averaged
-            # angular accelerations serve as the lagged values)
+            # angular accelerations serve as the lagged values); the same
+            # time, state and seed make it the next step's k1, and it
+            # leaves in ``lag`` what that k1 would leave
             lag[0], lag[1], lag[2] = p_avg, q_avg, r_avg
             rates_new = rate_fn(t_n + dt, y_new)
             gap = max(abs(rates_new[9] - p_avg), abs(rates_new[10] - q_avg),
                       abs(rates_new[11] - r_avg))
             if gap > max_gap:
                 max_gap = gap
-            lag[0], lag[1], lag[2] = p_avg, q_avg, r_avg
 
             v_i = station_v[i + 1]
             qbar_i = 0.5 * station_rho[i + 1] * v_i * v_i

@@ -11,6 +11,11 @@ dependence of the parent on that input.
 ``swept_stage_rates`` runs the solver's cascade the long way, one
 kernel pass per sweep, for the closed-form closure to be checked against.
 
+``chained_aggregates`` assembles the attitude/path coupling aggregates
+by multiplying (value, d/dt, d2/dt2) triples of the trig factors, for
+the flat scalar form in ``kinematics._aggregates`` to be checked against
+bit for bit.
+
 ``TextbookSixDof`` flies solved control histories through the body-axes
 equations of motion written from the textbook, with none of the
 package's physics, so it can check the inverse solver's answers.
@@ -250,6 +255,39 @@ def swept_stage_rates(row, state, seed, cfg, coeffs, sweeps):
     return (alpha_dot, beta_dot, theta_dot, psi_dot, thrust_dot,
             alpha_ddot, beta_ddot, theta_ddot, psi_ddot,
             p_dot, q_dot, r_dot)
+
+
+def _sin_chain(x, xd, xdd):
+    s, c = math.sin(x), math.cos(x)
+    return s, c * xd, c * xdd - s * xd * xd
+
+
+def _cos_chain(x, xd, xdd):
+    s, c = math.sin(x), math.cos(x)
+    return c, -s * xd, -s * xdd - c * xd * xd
+
+
+def _mul(a, b):
+    return (a[0] * b[0],
+            a[1] * b[0] + a[0] * b[1],
+            a[2] * b[0] + 2.0 * a[1] * b[1] + a[0] * b[2])
+
+
+def chained_aggregates(alpha, beta, phi, alpha_dot, beta_dot, phi_dot,
+                       alpha_ddot, beta_ddot, phi_ddot):
+    """The (lat, vert, ax) triples of ``kinematics._aggregates``, each
+    built from products of trig-factor triples."""
+    sa = _sin_chain(alpha, alpha_dot, alpha_ddot)
+    ca = _cos_chain(alpha, alpha_dot, alpha_ddot)
+    sb = _sin_chain(beta, beta_dot, beta_ddot)
+    cb = _cos_chain(beta, beta_dot, beta_ddot)
+    sp = _sin_chain(phi, phi_dot, phi_ddot)
+    cp = _cos_chain(phi, phi_dot, phi_ddot)
+    cb_sa = _mul(cb, sa)
+    lat = tuple(x - y for x, y in zip(_mul(sb, cp), _mul(cb_sa, sp)))
+    vert = tuple(x + y for x, y in zip(_mul(sb, sp), _mul(cb_sa, cp)))
+    ax = _mul(cb, ca)
+    return lat, vert, ax
 
 
 def _mat_vec(m, v):

@@ -3,6 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from invflight import solver
 from invflight.cli import (
     EXIT_INPUT,
     EXIT_MISMATCH,
@@ -10,6 +11,7 @@ from invflight.cli import (
     HISTORY_HEADER,
     main,
     read_history,
+    write_history,
 )
 
 CONFIG = str(Path(__file__).resolve().parents[1] / "configs" / "mirage3.cfg")
@@ -42,6 +44,15 @@ class TestTrim:
 
     def test_explicit_config_file(self, capsys):
         assert run("trim", "--config", CONFIG) == EXIT_OK
+
+    @pytest.mark.parametrize("option", ["--speed", "--altitude"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_option_is_input_error(self, capsys, option, value):
+        # a NaN once printed a NaN report and exited 0
+        assert run("trim", option, value) == EXIT_INPUT
+        err = capsys.readouterr()
+        assert f"[non_finite] {option} {value} is not finite" in err.err
+        assert err.out == ""
 
 
 class TestInverse:
@@ -117,6 +128,22 @@ class TestInverse:
         assert "only 4 sample rows; at least 5" in capsys.readouterr().err
         assert not (tmp_path / "history.csv").exists()
 
+    def test_non_finite_dt_is_input_error(self, tmp_path, capsys):
+        assert run("inverse", "--maneuver", "level", "--dt", "nan",
+                   "--out", str(tmp_path)) == EXIT_INPUT
+        assert "--dt nan is not finite" in capsys.readouterr().err
+        assert not (tmp_path / "history.csv").exists()
+
+    def test_negative_zero_is_written_as_zero(self, tmp_path, mirage):
+        hist = solver.solve(solver.maneuver_spec("level", 1e-2), mirage)
+        hist.delta_l[3] = -0.0
+        hist.beta[5] = -0.0
+        write_history(hist, tmp_path / "h.csv", "deg")
+        lines = (tmp_path / "h.csv").read_text().splitlines()
+        names = HISTORY_HEADER.split(",")
+        assert lines[4].split(",")[names.index("delta_l")] == "0"
+        assert lines[6].split(",")[names.index("beta")] == "0"
+
     def test_unknown_maneuver_is_input_error(self, tmp_path, capsys):
         assert run("inverse", "--maneuver", "loop", "--out",
                    str(tmp_path)) == EXIT_INPUT
@@ -191,6 +218,33 @@ class TestForward:
         assert status == EXIT_MISMATCH
 
 
+    def test_non_finite_tolerances_are_input_errors(self, tmp_path, capsys):
+        # a history flown with half its rudder mismatches at the default
+        # tolerances; NaN tolerances once made every comparison false and
+        # reported it as a match
+        out = tmp_path / "inv"
+        run("inverse", "--maneuver", "mirage-roll", "--dt", "1e-3",
+            "--out", str(out), "--angles", "rad")
+        lines = (out / "history.csv").read_text().splitlines()
+        idx = lines[0].split(",").index("delta_n")
+        halved = [lines[0]]
+        for line in lines[1:]:
+            parts = line.split(",")
+            parts[idx] = repr(0.5 * float(parts[idx]))
+            halved.append(",".join(parts))
+        bad = tmp_path / "half.csv"
+        bad.write_text("\n".join(halved) + "\n")
+        replay = ("forward", "--history", str(bad), "--angles", "rad",
+                  "--out", str(tmp_path))
+        assert run(*replay) == EXIT_MISMATCH
+        capsys.readouterr()
+        assert run(*replay, "--pos-tol-frac", "nan",
+                   "--phi-tol-deg", "nan") == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "--pos-tol-frac nan is not finite" in err
+        assert "--phi-tol-deg nan is not finite" in err
+
+
 class TestConverge:
     def test_single_step_size_is_usage_error(self, tmp_path, capsys):
         assert run("converge", "--maneuver", "mirage-roll", "--dt", "1e-3",
@@ -208,3 +262,14 @@ class TestConverge:
         assert run("converge", "--maneuver", "mirage-roll", "--dt", "1e-3",
                    "--dt", "2e-3", "--config",
                    str(tmp_path / "nope.cfg")) == EXIT_INPUT
+
+    @pytest.mark.parametrize("extra", [("--dt", "nan"),
+                                       ("--threshold", "nan")])
+    def test_non_finite_option_is_input_error(self, tmp_path, capsys,
+                                              extra):
+        # a NaN threshold once made every study "sensitive"
+        assert run("converge", "--maneuver", "mirage-roll", "--dt", "1e-2",
+                   "--dt", "2e-2", *extra,
+                   "--out", str(tmp_path)) == EXIT_INPUT
+        assert f"{extra[0]} nan is not finite" in capsys.readouterr().err
+        assert not (tmp_path / "convergence.txt").exists()

@@ -12,6 +12,7 @@ from invflight import (
     ZeroVelocity,
     setup,
 )
+from invflight import kinematics
 from invflight.kinematics import (
     airflow_from_body,
     attitude_accels,
@@ -25,7 +26,13 @@ from invflight.kinematics import (
 )
 from invflight.model import AnalyticChannel, AnalyticManeuver
 
-from oracles import AttitudeMotion, d1_5pt, d2_5pt, d1_central
+from oracles import (
+    AttitudeMotion,
+    chained_aggregates,
+    d1_5pt,
+    d2_5pt,
+    d1_central,
+)
 
 
 class TestEulerBodyRates:
@@ -171,6 +178,38 @@ class TestAttitudePathCoupling:
     def test_origin(self):
         assert path_angles_from_attitude(0, 0, 0, 0, 0) == \
             pytest.approx((0.0, 0.0))
+
+
+class TestAggregates:
+    """The flat aggregates against their triple-chain construction."""
+
+    @staticmethod
+    def flat(*args):
+        lat, vert, ax = chained_aggregates(*args)
+        return lat + vert + ax
+
+    def test_equal_to_chained_at_random_points(self):
+        rng = random.Random(11)
+        for _ in range(500):
+            angles = [rng.uniform(-math.pi, math.pi) for _ in range(3)]
+            rates = [rng.uniform(-3.0, 3.0) for _ in range(6)]
+            args = angles + rates
+            assert kinematics._aggregates(*args) == self.flat(*args)
+
+    def test_equal_to_chained_with_zero_second_derivatives(self):
+        # attitude_rates passes integer zeros for the second derivatives
+        rng = random.Random(12)
+        points = [(0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
+                  (-0.0, 0.0, -0.0, -0.0, 0.0, -0.0)]
+        points += [tuple(rng.uniform(-1.0, 1.0) for _ in range(6))
+                   for _ in range(200)]
+        for point in points:
+            args = point + (0, 0, 0)
+            got = kinematics._aggregates(*args)
+            assert got == self.flat(*args)
+            # signed zeros too
+            assert [math.copysign(1.0, x) for x in got] == \
+                [math.copysign(1.0, x) for x in self.flat(*args)]
 
 
 class TestAttitudeRateEquations:

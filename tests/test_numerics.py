@@ -122,6 +122,21 @@ class TestRK4:
         e2 = abs(integrate(0.025) - math.e)
         assert e1 / e2 == pytest.approx(16.0, rel=0.2)
 
+    def test_given_first_stage_is_the_same_step(self):
+        def f(t, y):
+            return (y[1], -y[0] + math.sin(t))
+
+        y0 = (1.0, -2.0)
+        calls = []
+
+        def counted(t, y):
+            calls.append(t)
+            return f(t, y)
+
+        assert rk4_step(counted, 0.2, y0, 0.37, f(0.2, y0)) == \
+            rk4_step(f, 0.2, y0, 0.37)
+        assert calls == [0.2 + 0.185, 0.2 + 0.185, 0.2 + 0.37]
+
     def test_stage_order_is_sequential(self):
         calls = []
 

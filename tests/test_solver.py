@@ -394,6 +394,12 @@ class TestCascadeClosure:
         monkeypatch.undo()
         return built, calls
 
+    def test_four_stage_evaluations_per_step(self, mirage, monkeypatch):
+        # the re-evaluation at each new station is the next step's k1
+        spec = maneuver_spec("mirage-roll", 1e-2)
+        _, calls = self.stage_calls(spec, mirage, monkeypatch)
+        assert len(calls) == 4 * (spec.station_count - 1) + 1
+
     @pytest.mark.parametrize("maneuver", ["roll", "banked-climb"])
     def test_all_stage_rates_match_swept_cascade(self, mirage, monkeypatch,
                                                  maneuver):
