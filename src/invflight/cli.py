@@ -30,7 +30,12 @@ from . import aero, solver
 from . import forward as fwd
 from .atmosphere import density
 from .dynamics import cruise_trim
-from .errors import ConfigError, ConfigFileError, FlightMechanicsError
+from .errors import (
+    AltitudeOutOfRange,
+    ConfigError,
+    ConfigFileError,
+    FlightMechanicsError,
+)
 from .model import (
     ISA,
     AircraftConfig,
@@ -294,10 +299,16 @@ def run_trim(args) -> int:
     if args.speed <= 0:
         raise ConfigError([("non_positive_speed",
                             f"speed {args.speed} must be > 0")])
-    rho = density(-args.altitude)
+    try:
+        rho = density(-args.altitude)
+    except AltitudeOutOfRange as err:
+        raise ConfigError([("altitude_out_of_range", str(err))]) from None
     thrust, c_lift, c_drag = cruise_trim(cfg.mass, ISA.g, rho, args.speed,
                                          cfg.wing_area, cfg.aero)
     alpha_equib = c_lift / cfg.aero.c_lift_alpha
+    if abs(alpha_equib) > aero.STALL_ALPHA:  # the linear lift curve ends
+        raise ConfigError([("beyond_stall", "trim alpha %.4g deg is beyond "
+                            "stall" % math.degrees(alpha_equib))])
     print(_key_values([
         ("altitude_m", _fmt(args.altitude)),
         ("speed_m_s", _fmt(args.speed)),
@@ -406,15 +417,20 @@ _RUNNERS = {
 }
 
 
-def _check_finite(args):
+def _check_options(args):
     """Reject a NaN or infinite value of any float option (``converge``
-    collects its repeated ``--dt`` in a list)."""
+    collects its repeated ``--dt`` in a list), a threshold that is not
+    positive and a negative tolerance: either makes all verdicts alike."""
     bad = []
     for dest, value in vars(args).items():
+        option = "--" + dest.replace("_", "-")
         for x in value if isinstance(value, list) else (value,):
             if isinstance(x, float) and not math.isfinite(x):
-                bad.append(("non_finite",
-                            f"--{dest.replace('_', '-')} {x} is not finite"))
+                bad.append(("non_finite", f"{option} {x} is not finite"))
+            elif dest == "threshold" and x <= 0.0:
+                bad.append(("non_positive", f"{option} {x} must be > 0"))
+            elif dest in ("pos_tol_frac", "phi_tol_deg") and x < 0.0:
+                bad.append(("negative", f"{option} {x} must be >= 0"))
     if bad:
         raise ConfigError(bad)
 
@@ -422,7 +438,7 @@ def _check_finite(args):
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        _check_finite(args)
+        _check_options(args)
         return _RUNNERS[args.subcommand](args)
     except (ConfigError, ConfigFileError, FileNotFoundError, OSError) as err:
         print(f"input error: {err}", file=sys.stderr)

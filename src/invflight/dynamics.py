@@ -126,7 +126,7 @@ def angular_accels_forward(p, q, r, roll_moment, pitch_moment, yaw_moment,
     return p_dot, q_dot, r_dot
 
 
-def controls_from_angular_accels(p_dot, q_dot, r_dot, *, p, q, r,
+def controls_from_angular_accels(p_dot, q_dot, r_dot, p, q, r,
                                  alpha, beta, v, qbar,
                                  inertia: InertiaSystem,
                                  coeffs: AeroCoefficients,
@@ -207,7 +207,7 @@ def thrust_from_force_balance(*, mass, g, s_ref, qbar, v_dot,
     return (-qbar * s_ref * f1 - mass * g * w1 + mass * v_dot) / axial
 
 
-def thrust_rate(*, mass, g, s_ref, qbar, qbar_dot, v_ddot, thrust,
+def thrust_rate(mass, g, s_ref, qbar, qbar_dot, v_ddot, thrust,
                 alpha, beta, theta, phi,
                 alpha_dot, beta_dot, theta_dot, phi_dot,
                 c_x, c_y, c_z, c_x_dot, c_y_dot, c_z_dot):
@@ -257,7 +257,7 @@ def sideslip_rate(*, mass, g, s_ref, qbar, v, thrust,
     return rhs / (mass * v)
 
 
-def sideslip_accel(*, mass, g, s_ref, qbar, qbar_dot, v, v_dot,
+def sideslip_accel(mass, g, s_ref, qbar, qbar_dot, v, v_dot,
                    thrust, thrust_dot, alpha, beta, theta, phi,
                    alpha_dot, beta_dot, theta_dot, phi_dot,
                    p, r, p_dot, r_dot, c_x, c_y, c_z,
@@ -315,7 +315,7 @@ def aoa_rate(*, mass, g, s_ref, qbar, v, thrust,
     return rhs / (mass * v * cb)
 
 
-def aoa_accel(*, mass, g, s_ref, qbar, qbar_dot, v, v_dot,
+def aoa_accel(mass, g, s_ref, qbar, qbar_dot, v, v_dot,
               thrust, thrust_dot, alpha, beta, theta, phi,
               alpha_dot, beta_dot, theta_dot, phi_dot,
               p, q, r, p_dot, q_dot, r_dot,

@@ -218,7 +218,7 @@ def attitude_rates(*, alpha, beta, phi, alpha_dot, beta_dot, phi_dot,
     return theta_dot, psi_dot
 
 
-def attitude_accels(*, alpha, beta, phi, alpha_dot, beta_dot, phi_dot,
+def attitude_accels(alpha, beta, phi, alpha_dot, beta_dot, phi_dot,
                     alpha_ddot, beta_ddot, phi_ddot, theta, psi,
                     theta_dot, psi_dot, theta_w, psi_w,
                     theta_w_dot, psi_w_dot, theta_w_ddot, psi_w_ddot):

@@ -28,6 +28,8 @@ closed form through the stage Jacobian; the repeats keep the seed error
 negligible at coarse steps. The re-evaluation at each new station, seeded
 with the step's averaged angular accelerations, is also the next step's
 first stage (first same as last), so a step costs four rate evaluations.
+The kernels take their arguments positionally, in signature order:
+binding them as keywords, by name on every call, cost a third of a stage.
 """
 
 from __future__ import annotations
@@ -462,9 +464,9 @@ def _make_rate_function(rows, t0, half_dt, cfg, coeffs, lag):
     states its feedback gain is exactly one (the differentiated system
     leaves the pitch/yaw acceleration split undetermined there), and the
     inherited seed is precisely what regularizes it, so a bounded sweep
-    count is the honest scheme.
+    count is the honest scheme. The kernels get positional arguments in
+    signature order; binding their 19-29 keywords cost 2-3 us a call.
     """
-    sweeps = CASCADE_SWEEPS
     mass = cfg.mass
     g = ISA.g
     s_ref = cfg.wing_area
@@ -507,42 +509,26 @@ def _make_rate_function(rows, t0, half_dt, cfg, coeffs, lag):
             alpha, beta, alpha_dot, beta_dot)
 
         thrust_dot = thrust_rate(
-            mass=mass, g=g, s_ref=s_ref, qbar=qbar, qbar_dot=qbar_dot,
-            v_ddot=v_ddot, thrust=thrust, alpha=alpha, beta=beta,
-            theta=theta, phi=phi, alpha_dot=alpha_dot, beta_dot=beta_dot,
-            theta_dot=theta_dot, phi_dot=phi_dot,
-            c_x=c_x, c_y=c_y, c_z=c_z,
-            c_x_dot=c_x_dot, c_y_dot=c_y_dot, c_z_dot=c_z_dot)
+            mass, g, s_ref, qbar, qbar_dot, v_ddot, thrust,
+            alpha, beta, theta, phi, alpha_dot, beta_dot, theta_dot, phi_dot,
+            c_x, c_y, c_z, c_x_dot, c_y_dot, c_z_dot)
 
         seed_p, seed_q, seed_r = lag[0], lag[1], lag[2]
         beta_ddot = sideslip_accel(
-            mass=mass, g=g, s_ref=s_ref, qbar=qbar, qbar_dot=qbar_dot,
-            v=v, v_dot=v_dot, thrust=thrust, thrust_dot=thrust_dot,
-            alpha=alpha, beta=beta, theta=theta, phi=phi,
-            alpha_dot=alpha_dot, beta_dot=beta_dot,
-            theta_dot=theta_dot, phi_dot=phi_dot,
-            p=p, r=r, p_dot=seed_p, r_dot=seed_r,
-            c_x=c_x, c_y=c_y, c_z=c_z,
-            c_x_dot=c_x_dot, c_y_dot=c_y_dot, c_z_dot=c_z_dot)
+            mass, g, s_ref, qbar, qbar_dot, v, v_dot, thrust, thrust_dot,
+            alpha, beta, theta, phi, alpha_dot, beta_dot, theta_dot, phi_dot,
+            p, r, seed_p, seed_r, c_x, c_y, c_z, c_x_dot, c_y_dot, c_z_dot)
 
         alpha_ddot = aoa_accel(
-            mass=mass, g=g, s_ref=s_ref, qbar=qbar, qbar_dot=qbar_dot,
-            v=v, v_dot=v_dot, thrust=thrust, thrust_dot=thrust_dot,
-            alpha=alpha, beta=beta, theta=theta, phi=phi,
-            alpha_dot=alpha_dot, beta_dot=beta_dot,
-            theta_dot=theta_dot, phi_dot=phi_dot,
-            p=p, q=q, r=r, p_dot=seed_p, q_dot=seed_q, r_dot=seed_r,
-            c_x=c_x, c_y=c_y, c_z=c_z,
-            c_x_dot=c_x_dot, c_y_dot=c_y_dot, c_z_dot=c_z_dot)
+            mass, g, s_ref, qbar, qbar_dot, v, v_dot, thrust, thrust_dot,
+            alpha, beta, theta, phi, alpha_dot, beta_dot, theta_dot, phi_dot,
+            p, q, r, seed_p, seed_q, seed_r,
+            c_x, c_y, c_z, c_x_dot, c_y_dot, c_z_dot)
 
         theta_ddot, psi_ddot = attitude_accels(
-            alpha=alpha, beta=beta, phi=phi,
-            alpha_dot=alpha_dot, beta_dot=beta_dot, phi_dot=phi_dot,
-            alpha_ddot=alpha_ddot, beta_ddot=beta_ddot, phi_ddot=phi_ddot,
-            theta=theta, psi=psi, theta_dot=theta_dot, psi_dot=psi_dot,
-            theta_w=theta_w, psi_w=psi_w,
-            theta_w_dot=theta_w_dot, psi_w_dot=psi_w_dot,
-            theta_w_ddot=theta_w_ddot, psi_w_ddot=psi_w_ddot)
+            alpha, beta, phi, alpha_dot, beta_dot, phi_dot,
+            alpha_ddot, beta_ddot, phi_ddot, theta, psi, theta_dot, psi_dot,
+            theta_w, psi_w, theta_w_dot, psi_w_dot, theta_w_ddot, psi_w_ddot)
 
         p_dot, q_dot, r_dot = body_rate_derivs(
             phi, theta, phi_dot, theta_dot, psi_dot,
@@ -572,7 +558,7 @@ def _make_rate_function(rows, t0, half_dt, cfg, coeffs, lag):
         dp = p_dot - seed_p
         dq = q_dot - seed_q
         dr = r_dot - seed_r
-        for _ in range(sweeps - 1):
+        for _ in range(CASCADE_SWEEPS - 1):
             d_beta = sa * dp - ca * dr
             d_alpha = dq - tb * (ca * dp + sa * dr)
             d_theta = th_a * d_alpha + th_b * d_beta
@@ -588,9 +574,7 @@ def _make_rate_function(rows, t0, half_dt, cfg, coeffs, lag):
             q_dot += dq
             r_dot += dr
 
-        lag[0] = p_dot
-        lag[1] = q_dot
-        lag[2] = r_dot
+        lag[:] = p_dot, q_dot, r_dot
 
         return (alpha_dot, beta_dot, theta_dot, psi_dot, thrust_dot,
                 alpha_ddot, beta_ddot, theta_ddot, psi_ddot,
@@ -726,12 +710,7 @@ def solve(spec: TrajectorySpec, cfg: AircraftConfig) -> SolutionHistory:
             q_avg = (k1[10] + 2.0 * (k2[10] + k3[10]) + k4[10]) / 6.0
             r_avg = (k1[11] + 2.0 * (k2[11] + k3[11]) + k4[11]) / 6.0
 
-            ok = True
-            for value in y_new:
-                if not math.isfinite(value):
-                    ok = False
-                    break
-            if not ok:
+            if not all(map(math.isfinite, y_new)):
                 raise NonFiniteState("integrated state went non-finite")
 
             # algebraic re-evaluation at the new station (the averaged
@@ -748,10 +727,9 @@ def solve(spec: TrajectorySpec, cfg: AircraftConfig) -> SolutionHistory:
             v_i = station_v[i + 1]
             qbar_i = 0.5 * station_rho[i + 1] * v_i * v_i
             controls = dynamics.controls_from_angular_accels(
-                p_avg, q_avg, r_avg, p=y_new[9], q=y_new[10], r=y_new[11],
-                alpha=y_new[0], beta=y_new[1], v=v_i, qbar=qbar_i,
-                inertia=inertia, coeffs=coeffs, s_ref=cfg.wing_area,
-                span_ref=cfg.span_ref, chord_ref=cfg.chord_ref)
+                p_avg, q_avg, r_avg, y_new[9], y_new[10], y_new[11],
+                y_new[0], y_new[1], v_i, qbar_i, inertia, coeffs,
+                cfg.wing_area, cfg.span_ref, cfg.chord_ref)
         except FlightMechanicsError as err:
             raise SolverAbort("marching loop", i + 1, err) from err
 
@@ -820,6 +798,9 @@ def convergence_study(spec: TrajectorySpec, cfg: AircraftConfig, dts,
     if len(dts) < 2:
         raise ConfigError([("too_few_step_sizes",
                             "a convergence study needs at least 2 step sizes")])
+    if len(set(dts)) < len(dts):
+        raise ConfigError([("repeated_step_size",
+                            f"step sizes dt = {dts} repeat a value")])
     if spec.analytic is None:
         raise ConfigError([("sampled_step_study",
                             "step-size study needs an analytic maneuver")])

@@ -55,6 +55,25 @@ class TestTrim:
         assert err.out == ""
 
 
+    @pytest.mark.parametrize("altitude", ["20000", "-5"])
+    def test_altitude_outside_density_range_is_input_error(self, capsys,
+                                                           altitude):
+        # once exited 2, a numerical failure
+        assert run("trim", "--altitude", altitude) == EXIT_INPUT
+        err = capsys.readouterr()
+        assert "[altitude_out_of_range]" in err.err
+        assert err.out == ""
+
+    @pytest.mark.parametrize("speed", ["1e-3", "130"])
+    def test_trim_beyond_stall_is_input_error(self, capsys, speed):
+        # --speed 1e-3 once printed alpha_equib_deg = 2.54e+11 and exit 0;
+        # 130 m/s at 10 km needs 15.05 deg
+        assert run("trim", "--speed", speed) == EXIT_INPUT
+        err = capsys.readouterr()
+        assert "[beyond_stall]" in err.err
+        assert err.out == ""
+
+
 class TestInverse:
     def test_level_maneuver_zero_deflections(self, tmp_path, capsys):
         out = tmp_path / "lvl"
@@ -187,6 +206,15 @@ class TestRoundTrip:
         assert report["verdict"] == "match"
         assert abs(float(report["phi_end_deg"]) - 360.0) < 2.0
 
+    @pytest.mark.parametrize("option", ["--pos-tol-frac", "--phi-tol-deg"])
+    def test_negative_tolerance_is_input_error(self, tmp_path, capsys,
+                                               option):
+        # a negative tolerance once made every replay a mismatch (exit 3)
+        assert run("roundtrip", "--maneuver", "level", "--dt", "1e-2",
+                   option, "-1", "--out", str(tmp_path)) == EXIT_INPUT
+        assert f"{option} -1.0 must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "roundtrip.txt").exists()
+
 
 class TestForward:
     def test_replay_matches(self, tmp_path, capsys):
@@ -272,4 +300,22 @@ class TestConverge:
                    "--dt", "2e-2", *extra,
                    "--out", str(tmp_path)) == EXIT_INPUT
         assert f"{extra[0]} nan is not finite" in capsys.readouterr().err
+        assert not (tmp_path / "convergence.txt").exists()
+
+    @pytest.mark.parametrize("threshold", ["-1", "0"])
+    def test_non_positive_threshold_is_input_error(self, tmp_path, capsys,
+                                                   threshold):
+        # --threshold -1 once reported "sensitive" with every deviation 0
+        assert run("converge", "--maneuver", "level", "--dt", "1e-2",
+                   "--dt", "2e-2", "--threshold", threshold,
+                   "--out", str(tmp_path)) == EXIT_INPUT
+        assert "--threshold" in capsys.readouterr().err
+        assert not (tmp_path / "convergence.txt").exists()
+
+    def test_repeated_step_size_is_input_error(self, tmp_path, capsys):
+        # a run compared with itself was once reported "insensitive"
+        assert run("converge", "--maneuver", "level", "--dt", "1e-2",
+                   "--dt", "0.01", "--out", str(tmp_path)) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "[repeated_step_size] step sizes dt = [0.01, 0.01]" in err
         assert not (tmp_path / "convergence.txt").exists()

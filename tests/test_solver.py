@@ -308,6 +308,32 @@ class TestSolve:
         assert controls.grid.count == hist.grid.count
         assert np.array_equal(controls.delta_n, hist.delta_n)
 
+    def test_station_controls_follow_the_moment_balance(self, mirage):
+        # the march recovers the deflections with a positional call; the
+        # Mirage-III has span_ref == chord_ref, so a distinct chord keeps
+        # two swapped reference lengths from passing
+        from invflight import dynamics
+
+        cfg = replace(mirage, chord_ref=3.5)
+        spec = maneuver_spec("mirage-roll", 1e-2)
+        hist = solve(spec, cfg)
+        profiles = setup(spec)
+        rho = profiles.station(profiles.rho)
+        inertia = dynamics.inertia_system(cfg)
+        coeffs = replace(cfg.aero, c_lift0=hist.reference.c_lift0_equib)
+        for i in range(hist.grid.count):
+            v = float(hist.v[i])
+            want = dynamics.controls_from_angular_accels(
+                p_dot=float(hist.p_dot[i]), q_dot=float(hist.q_dot[i]),
+                r_dot=float(hist.r_dot[i]), p=float(hist.p[i]),
+                q=float(hist.q[i]), r=float(hist.r[i]),
+                alpha=float(hist.alpha[i]), beta=float(hist.beta[i]),
+                v=v, qbar=0.5 * float(rho[i]) * v * v, inertia=inertia,
+                coeffs=coeffs, s_ref=cfg.wing_area, span_ref=cfg.span_ref,
+                chord_ref=cfg.chord_ref)
+            got = (hist.delta_l[i], hist.delta_m[i], hist.delta_n[i])
+            assert got == want, i
+
     def test_solution_satisfies_governing_relations_pointwise(self, mirage):
         # residual check independent of the marching scheme: the solved
         # histories must sit on the algebraic coupling manifold and
