@@ -35,6 +35,8 @@ from .errors import (
     ConfigError,
     ConfigFileError,
     FlightMechanicsError,
+    VerticalFlight,
+    ZeroVelocity,
 )
 from .model import (
     ISA,
@@ -116,18 +118,23 @@ def _angle_scale(unit: str) -> float:
     return 180.0 / math.pi if unit == "deg" else 1.0
 
 
-def _history_columns(hist: solver.SolutionHistory, unit: str):
-    flags = (hist.stall.astype(int) * FLAG_STALL
-             + hist.reverse_thrust.astype(int) * FLAG_REVERSE_THRUST)
+def _history_columns(hist: solver.SolutionHistory, unit: str,
+                     rows=slice(None)):
+    """The history file's columns by name, for the stations ``rows``."""
+    flags = (hist.stall[rows].astype(int) * FLAG_STALL
+             + hist.reverse_thrust[rows].astype(int) * FLAG_REVERSE_THRUST)
+    alpha = hist.alpha[rows]
     cols = {
-        "t": hist.t, "x_g": hist.xg, "y_g": hist.yg, "z_g": hist.zg,
-        "V": hist.v, "alpha_proc": hist.alpha,
-        "alpha_actual": hist.alpha_actual, "beta": hist.beta,
-        "p": hist.p, "q": hist.q, "r": hist.r,
-        "phi": hist.phi, "theta": hist.theta, "psi": hist.psi,
-        "theta_w": hist.theta_w, "psi_w": hist.psi_w,
-        "delta_l": hist.delta_l, "delta_m": hist.delta_m,
-        "delta_n": hist.delta_n, "T": hist.thrust, "flags": flags,
+        "t": hist.t[rows], "x_g": hist.xg[rows], "y_g": hist.yg[rows],
+        "z_g": hist.zg[rows], "V": hist.v[rows], "alpha_proc": alpha,
+        # ``hist.alpha_actual`` of these rows, without a full-length copy
+        "alpha_actual": alpha + hist.reference.alpha_shift,
+        "beta": hist.beta[rows], "p": hist.p[rows], "q": hist.q[rows],
+        "r": hist.r[rows], "phi": hist.phi[rows], "theta": hist.theta[rows],
+        "psi": hist.psi[rows], "theta_w": hist.theta_w[rows],
+        "psi_w": hist.psi_w[rows], "delta_l": hist.delta_l[rows],
+        "delta_m": hist.delta_m[rows], "delta_n": hist.delta_n[rows],
+        "T": hist.thrust[rows], "flags": flags,
     }
     s = _angle_scale(unit)
     for n in _ANGLE_COLUMNS:
@@ -140,15 +147,21 @@ _HISTORY_ROW = (",".join(["%.9g"] * (len(HISTORY_HEADER.split(",")) - 1))
                 + ",%d\n")
 
 
+# stations formatted per write: the writer's memory is one block's worth
+_HISTORY_BLOCK = 4096
+
+
 def write_history(hist: solver.SolutionHistory, path, unit: str):
-    cols = _history_columns(hist, unit)
     names = HISTORY_HEADER.split(",")
-    # ``+ 0.0`` turns -0.0 into 0.0, as ``_fmt`` does
-    rows = zip(*[(cols[n] + 0.0).tolist() for n in names[:-1]],
-               cols["flags"].tolist())
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(HISTORY_HEADER + "\n")
-        fh.writelines([_HISTORY_ROW % row for row in rows])
+        for start in range(0, hist.grid.count, _HISTORY_BLOCK):
+            cols = _history_columns(hist, unit,
+                                    slice(start, start + _HISTORY_BLOCK))
+            # ``+ 0.0`` turns -0.0 into 0.0, as ``_fmt`` does
+            rows = zip(*[(cols[n] + 0.0).tolist() for n in names[:-1]],
+                       cols["flags"].tolist())
+            fh.writelines([_HISTORY_ROW % row for row in rows])
 
 
 def write_summary(hist: solver.SolutionHistory, path, unit: str,
@@ -263,10 +276,24 @@ def _refly(cols, cfg: AircraftConfig, args, path) -> int:
     return EXIT_MISMATCH if mismatch else EXIT_OK
 
 
+# trajectories that ``solver.setup`` refuses before the march starts:
+# input errors, each message naming the first station at fault
+_SETUP_REFUSALS = {AltitudeOutOfRange: "altitude_out_of_range",
+                   ZeroVelocity: "zero_velocity",
+                   VerticalFlight: "vertical_flight"}
+
+
+def _solve(spec, cfg: AircraftConfig) -> solver.SolutionHistory:
+    try:
+        return solver.solve(spec, cfg)
+    except tuple(_SETUP_REFUSALS) as err:
+        raise ConfigError([(_SETUP_REFUSALS[type(err)], str(err))]) from None
+
+
 def run_inverse(args) -> int:
     cfg = _load_aircraft(args)
     spec = _resolve_spec(args, args.dt)
-    hist = solver.solve(spec, cfg)
+    hist = _solve(spec, cfg)
     out = _out_dir(args)
     write_history(hist, out / "history.csv", args.angles)
     write_summary(hist, out / "summary.txt", args.angles, spec.dt)
@@ -287,7 +314,7 @@ def run_forward(args) -> int:
 
 def run_roundtrip(args) -> int:
     cfg = _load_aircraft(args)
-    hist = solver.solve(_resolve_spec(args, args.dt), cfg)
+    hist = _solve(_resolve_spec(args, args.dt), cfg)
     out = _out_dir(args)
     write_history(hist, out / "history.csv", args.angles)
     return _refly(_history_columns(hist, "rad"), cfg, args,

@@ -35,6 +35,7 @@ binding them as keywords, by name on every call, cost a third of a stage.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -218,15 +219,14 @@ class KinematicProfiles:
         """Station-level view of a half-step array."""
         return arr[::2]
 
-    def stage_rows(self):
-        """Half-step data as a list of plain-float tuples for fast
-        scalar access inside the stage rate function."""
-        cols = (self.v, self.v_dot, self.v_ddot,
-                self.theta_w, self.theta_w_dot, self.theta_w_ddot,
-                self.psi_w, self.psi_w_dot, self.psi_w_ddot,
-                self.phi, self.phi_dot, self.phi_ddot,
-                self.rho, self.rho_dot)
-        return list(zip(*(c.tolist() for c in cols)))
+    def stage_rows(self) -> np.ndarray:
+        """Half-step data as one C-contiguous ``(2n - 1, 14)`` float64
+        table, a row per half step in the order the stage rate function
+        unpacks it (``_STAGE_ROW``), 112 bytes a row."""
+        return np.column_stack((
+            self.v, self.v_dot, self.v_ddot, self.theta_w, self.theta_w_dot,
+            self.theta_w_ddot, self.psi_w, self.psi_w_dot, self.psi_w_ddot,
+            self.phi, self.phi_dot, self.phi_ddot, self.rho, self.rho_dot))
 
 
 def _path_profiles(xd, yd, zd, xdd, ydd, zdd, xddd, yddd, zddd,
@@ -436,9 +436,17 @@ def initialize(profiles: KinematicProfiles,
 #       16   45.87 deg                   45.78 deg
 CASCADE_SWEEPS = 4
 
+# one row of ``KinematicProfiles.stage_rows()`` and one station of the
+# solve's record block, read and written in place as packed doubles
+_STAGE_ROW = struct.Struct("14d")
+_STATION_RECORD = struct.Struct("19d")
+
 
 def _make_rate_function(rows, t0, half_dt, cfg, coeffs, lag):
     """Stage rate function over the 12-variable state.
+
+    ``rows`` is the table of ``KinematicProfiles.stage_rows()``; a stage
+    unpacks its half-step row from the table's buffer into floats.
 
     The differentiated force balances need the angular accelerations
     (p', q', r'), which follow from the attitude accelerations they feed
@@ -476,6 +484,7 @@ def _make_rate_function(rows, t0, half_dt, cfg, coeffs, lag):
     c_drag0 = coeffs.c_drag0
     c_side_beta = coeffs.c_side_beta
     inv_half = 1.0 / half_dt
+    row_bytes, unpack_row = _STAGE_ROW.size, _STAGE_ROW.unpack_from
     sin, cos = math.sin, math.cos
 
     body_force = aero.body_force_coefficients
@@ -491,7 +500,8 @@ def _make_rate_function(rows, t0, half_dt, cfg, coeffs, lag):
          alpha_dot, beta_dot, theta_dot, psi_dot, p, q, r) = state
         (v, v_dot, v_ddot, theta_w, theta_w_dot, theta_w_ddot,
          psi_w, psi_w_dot, psi_w_ddot, phi, phi_dot, phi_ddot,
-         rho, rho_dot) = rows[int(round((t - t0) * inv_half))]
+         rho, rho_dot) = unpack_row(rows,
+                                    row_bytes * round((t - t0) * inv_half))
 
         qbar = 0.5 * rho * v * v
         qbar_dot = 0.5 * rho_dot * v * v + rho * v * v_dot
@@ -591,6 +601,9 @@ class SolutionHistory:
     angles are copied from the setup profiles, never integrated, so they
     reproduce the prescription exactly. ``alpha`` is the procedure value
     (departure from trim); ``alpha_actual`` applies the reporting shift.
+    The 19 marched columns, ``alpha`` to ``r_dot``, are strided views of
+    one ``(n, 19)`` record block that ``solve`` filled a station at a
+    time, not separate arrays.
     """
 
     grid: UniformGrid
@@ -667,38 +680,23 @@ def solve(spec: TrajectorySpec, cfg: AircraftConfig) -> SolutionHistory:
     lag = [0.0, 0.0, 0.0]
     rate_fn = _make_rate_function(rows, t0, 0.5 * dt, cfg, coeffs, lag)
 
+    # a station's record: state, deflections, thrust rate, (p', q', r')
     names = ("alpha", "beta", "theta", "psi", "thrust",
              "alpha_dot", "beta_dot", "theta_dot", "psi_dot",
-             "p", "q", "r")
-    out = {name: np.empty(n) for name in names}
-    out.update({name: np.empty(n) for name in
-                ("delta_l", "delta_m", "delta_n", "thrust_dot",
-                 "p_dot", "q_dot", "r_dot")})
-    stall = np.zeros(n, dtype=bool)
-    reverse = np.zeros(n, dtype=bool)
+             "p", "q", "r", "delta_l", "delta_m", "delta_n", "thrust_dot",
+             "p_dot", "q_dot", "r_dot")
+    block = np.empty((n, len(names)))
+    pack_station = _STATION_RECORD.pack_into
 
     s0 = init.state
     y = (0.0, 0.0, s0.theta, s0.psi, s0.thrust, 0.0, 0.0,
          s0.theta_dot, s0.psi_dot, s0.p, s0.q, s0.r)
 
-    alpha_shift = init.reference.alpha_shift
-    station_v = profiles.station(profiles.v)
-    station_rho = profiles.station(profiles.rho)
-
-    def record(i, state, controls, thrust_dot, pqr_dot):
-        for name, value in zip(names, state):
-            out[name][i] = value
-        out["delta_l"][i], out["delta_m"][i], out["delta_n"][i] = controls
-        out["thrust_dot"][i] = thrust_dot
-        out["p_dot"][i], out["q_dot"][i], out["r_dot"][i] = pqr_dot
-        stall[i] = abs(state[0] + alpha_shift) > aero.STALL_ALPHA
-        reverse[i] = state[4] < 0.0
-
     # station 0: auxiliary thrust rate evaluated at the initial state,
     # seeded with zero angular accelerations; it is also step 0's k1
     rates_new = rate_fn(t0, y)
-    record(0, y, (s0.delta_l, s0.delta_m, s0.delta_n), rates_new[4],
-           (0.0, 0.0, 0.0))
+    pack_station(block, 0, *y, s0.delta_l, s0.delta_m, s0.delta_n,
+                 rates_new[4], 0.0, 0.0, 0.0)
 
     max_gap = 0.0
     for i in range(n - 1):
@@ -724,8 +722,10 @@ def solve(spec: TrajectorySpec, cfg: AircraftConfig) -> SolutionHistory:
             if gap > max_gap:
                 max_gap = gap
 
-            v_i = station_v[i + 1]
-            qbar_i = 0.5 * station_rho[i + 1] * v_i * v_i
+            # station i + 1 is half-step row 2(i + 1): V first, rho 13th
+            row = _STAGE_ROW.unpack_from(rows, 2 * (i + 1) * _STAGE_ROW.size)
+            v_i, rho_i = row[0], row[12]
+            qbar_i = 0.5 * rho_i * v_i * v_i
             controls = dynamics.controls_from_angular_accels(
                 p_avg, q_avg, r_avg, y_new[9], y_new[10], y_new[11],
                 y_new[0], y_new[1], v_i, qbar_i, inertia, coeffs,
@@ -733,10 +733,11 @@ def solve(spec: TrajectorySpec, cfg: AircraftConfig) -> SolutionHistory:
         except FlightMechanicsError as err:
             raise SolverAbort("marching loop", i + 1, err) from err
 
-        record(i + 1, y_new, controls, rates_new[4],
-               (p_avg, q_avg, r_avg))
+        pack_station(block, _STATION_RECORD.size * (i + 1), *y_new, *controls,
+                     rates_new[4], p_avg, q_avg, r_avg)
         y = y_new
 
+    out = dict(zip(names, block.T))
     return SolutionHistory(
         grid=profiles.stations,
         maneuver=spec.name,
@@ -745,11 +746,13 @@ def solve(spec: TrajectorySpec, cfg: AircraftConfig) -> SolutionHistory:
         xg=profiles.xg.copy(), yg=profiles.yg.copy(), zg=profiles.zg.copy(),
         xg_dot=profiles.xg_dot.copy(), yg_dot=profiles.yg_dot.copy(),
         zg_dot=profiles.zg_dot.copy(),
-        v=station_v.copy(),
+        v=profiles.station(profiles.v).copy(),
         phi=profiles.station(profiles.phi).copy(),
         theta_w=profiles.station(profiles.theta_w).copy(),
         psi_w=profiles.station(profiles.psi_w).copy(),
-        stall=stall, reverse_thrust=reverse, rate_gap=max_gap, **out)
+        stall=np.abs(out["alpha"] + init.reference.alpha_shift)
+        > aero.STALL_ALPHA,
+        reverse_thrust=out["thrust"] < 0.0, rate_gap=max_gap, **out)
 
 
 # ----------------------------------------------------------------------

@@ -204,7 +204,7 @@ def swept_stage_rates(row, state, seed, cfg, coeffs, sweeps):
     """The twelve stage rates with the angular-acceleration cascade run
     pass by pass through the four public kernels.
 
-    ``row`` is one half-step tuple of ``KinematicProfiles.stage_rows``,
+    ``row`` is one half-step row of ``KinematicProfiles.stage_rows()``,
     ``state`` the twelve-variable march state and ``seed`` the
     (p', q', r') the first pass starts from; each of the ``sweeps``
     passes feeds the previous pass's body-rate derivatives back in.

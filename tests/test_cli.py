@@ -1,14 +1,18 @@
+import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from invflight import solver
+from invflight import cli, solver
 from invflight.cli import (
     EXIT_INPUT,
     EXIT_MISMATCH,
     EXIT_OK,
     HISTORY_HEADER,
+    _fmt,
+    _history_columns,
     main,
     read_history,
     write_history,
@@ -19,6 +23,32 @@ CONFIG = str(Path(__file__).resolve().parents[1] / "configs" / "mirage3.cfg")
 
 def run(*argv):
     return main(list(argv))
+
+
+@pytest.fixture(scope="module")
+def roll_1e3(mirage):
+    return solver.solve(solver.maneuver_spec("mirage-roll", 1e-3), mirage)
+
+
+# sampled trajectories that the set-up refuses at station 0, with the
+# code the CLI reports them under: (x_g, z_g) against time
+OUT_OF_ENVELOPE = {
+    "below_sea_level": ("altitude_out_of_range",
+                        lambda t: (200.0 * t, 100.0)),
+    "above_tropopause": ("altitude_out_of_range",
+                         lambda t: (200.0 * t, -12000.0)),
+    "hover": ("zero_velocity", lambda t: (0.0, -10000.0)),
+    "vertical_climb": ("vertical_flight",
+                       lambda t: (0.0, -10000.0 - 100.0 * t)),
+}
+
+
+def out_of_envelope_file(tmp_path, case):
+    track = OUT_OF_ENVELOPE[case][1]
+    man = tmp_path / f"{case}.dat"
+    man.write_text("".join("%g %g 0 %g 0\n" % (0.01 * i, *track(0.01 * i))
+                           for i in range(101)))
+    return man
 
 
 class TestTrim:
@@ -163,6 +193,60 @@ class TestInverse:
         assert lines[4].split(",")[names.index("delta_l")] == "0"
         assert lines[6].split(",")[names.index("beta")] == "0"
 
+    @pytest.mark.parametrize("case", sorted(OUT_OF_ENVELOPE))
+    def test_out_of_envelope_trajectory_is_input_error(self, tmp_path,
+                                                       capsys, case):
+        # once exited 2, a numerical failure, before the march had begun
+        man = out_of_envelope_file(tmp_path, case)
+        assert run("inverse", "--maneuver-file", str(man),
+                   "--out", str(tmp_path)) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert f"[{OUT_OF_ENVELOPE[case][0]}]" in err
+        assert "at station 0" in err
+        assert not (tmp_path / "history.csv").exists()
+
+    def test_history_is_written_block_by_block(self, tmp_path, monkeypatch,
+                                               roll_1e3):
+        # blocks of 7 rows split the 6,001 stations unevenly; -0.0 and
+        # every flag value must come out as a row-by-row write gives them
+        hist = replace(roll_1e3, beta=roll_1e3.beta.copy(),
+                       stall=roll_1e3.stall.copy(),
+                       reverse_thrust=roll_1e3.reverse_thrust.copy())
+        hist.beta[[0, 6, 7, 6000]] = -0.0
+        hist.stall[[5, 7, 13]] = True
+        hist.reverse_thrust[[6, 7, 14]] = True
+        monkeypatch.setattr(cli, "_HISTORY_BLOCK", 7)
+        write_history(hist, tmp_path / "h.csv", "deg")
+        cols = _history_columns(hist, "deg")
+        names = HISTORY_HEADER.split(",")
+        want = [HISTORY_HEADER + "\n"] + [
+            ",".join([_fmt(cols[n][i]) for n in names[:-1]]
+                     + [str(cols["flags"][i])]) + "\n"
+            for i in range(hist.grid.count)]
+        assert (tmp_path / "h.csv").read_bytes() == \
+            "".join(want).encode("utf-8")
+        lines = (tmp_path / "h.csv").read_text().splitlines()
+        assert lines[8].split(",")[names.index("beta")] == "0"
+        assert [line.rsplit(",", 1)[1] for line in lines[6:9]] == \
+            ["1", "2", "3"]
+
+    def test_history_writer_memory_does_not_grow_with_rows(
+            self, tmp_path, monkeypatch, mirage, roll_1e3):
+        # the whole file used to be formatted in memory first: about
+        # 1 kB a row, 6 MB traced for these 6,001 rows
+        short = solver.solve(solver.maneuver_spec("mirage-roll", 1e-2),
+                             mirage)
+        monkeypatch.setattr(cli, "_HISTORY_BLOCK", 256)
+        peaks = []
+        for hist in (short, roll_1e3):
+            tracemalloc.start()
+            try:
+                write_history(hist, tmp_path / "h.csv", "deg")
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 1.1 * peaks[0], peaks
+
     def test_unknown_maneuver_is_input_error(self, tmp_path, capsys):
         assert run("inverse", "--maneuver", "loop", "--out",
                    str(tmp_path)) == EXIT_INPUT
@@ -205,6 +289,15 @@ class TestRoundTrip:
                       (out / "roundtrip.txt").read_text().splitlines())
         assert report["verdict"] == "match"
         assert abs(float(report["phi_end_deg"]) - 360.0) < 2.0
+
+    def test_out_of_envelope_trajectory_is_input_error(self, tmp_path,
+                                                       capsys):
+        man = out_of_envelope_file(tmp_path, "vertical_climb")
+        assert run("roundtrip", "--maneuver-file", str(man),
+                   "--out", str(tmp_path)) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "[vertical_flight] vertical flight path at station 0" in err
+        assert not (tmp_path / "roundtrip.txt").exists()
 
     @pytest.mark.parametrize("option", ["--pos-tol-frac", "--phi-tol-deg"])
     def test_negative_tolerance_is_input_error(self, tmp_path, capsys,
