@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .aero import drag_coefficient
 from .errors import (
     DegenerateAxialProjection,
     SideslipSingularity,
@@ -362,5 +363,5 @@ def cruise_trim(mass, g, rho, v, s_ref, coeffs: AeroCoefficients):
     if qs <= 0.0:
         raise ZeroVelocity("cruise trim needs rho, V, S > 0")
     c_lift = mass * g / qs
-    c_drag = coeffs.c_drag0 + coeffs.k_drag * c_lift * c_lift
+    c_drag = drag_coefficient(c_lift, coeffs)
     return qs * c_drag, c_lift, c_drag

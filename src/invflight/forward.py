@@ -12,6 +12,7 @@ the body x axis only.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +39,8 @@ class ControlHistory:
 
 @dataclass
 class ForwardHistory:
-    """Per-station simulated state of the direct 6-DOF run."""
+    """Per-station simulated state of the direct 6-DOF run. The 15 columns
+    from ``u`` to ``beta`` are views of one ``(n, 15)`` record block."""
 
     grid: UniformGrid
     t: np.ndarray
@@ -59,20 +61,21 @@ class ForwardHistory:
     beta: np.ndarray
 
 
+# one station of the record block: the 12 states, then (V, alpha, beta)
+_STATION_RECORD = struct.Struct("15d")
+
+
 def simulate(initial: FlightState, controls: ControlHistory,
-             cfg: AircraftConfig, position0=(0.0, 0.0, 0.0),
-             coeffs=None) -> ForwardHistory:
+             cfg: AircraftConfig, position0, coeffs) -> ForwardHistory:
     """Integrate the body-axes equations of motion under the controls.
 
     The twelve-variable state is (u, v, w, p, q, r, phi, theta, psi,
-    x_g, y_g, z_g), advanced with fixed-step RK4 on the control grid;
-    controls are interpolated linearly between stations for the
-    half-step stage evaluations. ``coeffs`` overrides the aircraft
-    coefficient set (used by the round trip to keep the trim-shifted
-    lift curve of the inverse run); the default is ``cfg.aero``.
+    x_g, y_g, z_g), from ``position0``, advanced with fixed-step RK4 on
+    the control grid; controls are interpolated linearly between stations
+    for the half-step stage evaluations. ``coeffs`` is the coefficient set
+    flown (the round trip's is the inverse run's trim-shifted lift curve).
+    Each station packs its state and ``airflow_from_body`` into one row.
     """
-    if coeffs is None:
-        coeffs = cfg.aero
     inertia = dynamics.inertia_system(cfg)
     grid = controls.grid
     n = grid.count
@@ -146,34 +149,21 @@ def simulate(initial: FlightState, controls: ControlHistory,
          initial.phi, initial.theta, initial.psi,
          float(position0[0]), float(position0[1]), float(position0[2]))
 
-    out = np.empty((12, n))
-    v_arr = np.empty(n)
-    alpha_arr = np.empty(n)
-    beta_arr = np.empty(n)
+    names = ("u", "v_side", "w", "p", "q", "r", "phi", "theta", "psi",
+             "xg", "yg", "zg", "v", "alpha", "beta")
+    block = np.empty((n, len(names)))
+    pack_station = _STATION_RECORD.pack_into
+    airflow = kinematics.airflow_from_body
 
-    def record(i, state):
-        for j, value in enumerate(state):
-            out[j, i] = value
-        v_i, a_i, b_i = kinematics.airflow_from_body(state[0], state[1],
-                                                     state[2])
-        v_arr[i] = v_i
-        alpha_arr[i] = a_i
-        beta_arr[i] = b_i
-
-    record(0, y)
+    pack_station(block, 0, *y, *airflow(y[0], y[1], y[2]))
     for i in range(n - 1):
         t_n = t0 + i * dt
         y, _ = rk4_step(rates, t_n, y, dt)
-        for value in y:
-            if not math.isfinite(value):
-                raise NonFiniteState(
-                    f"forward state went non-finite at station {i + 1}")
-        record(i + 1, y)
+        if not all(map(math.isfinite, y)):
+            raise NonFiniteState(
+                f"forward state went non-finite at station {i + 1}")
+        pack_station(block, _STATION_RECORD.size * (i + 1), *y,
+                     *airflow(y[0], y[1], y[2]))
 
-    return ForwardHistory(
-        grid=grid, t=grid.times(),
-        u=out[0], v_side=out[1], w=out[2],
-        p=out[3], q=out[4], r=out[5],
-        phi=out[6], theta=out[7], psi=out[8],
-        xg=out[9], yg=out[10], zg=out[11],
-        v=v_arr, alpha=alpha_arr, beta=beta_arr)
+    return ForwardHistory(grid=grid, t=grid.times(),
+                          **dict(zip(names, block.T)))

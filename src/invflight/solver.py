@@ -99,7 +99,6 @@ class ManeuverLibraryEntry:
     name: str
     duration: float
     maneuver: AnalyticManeuver
-    description: str
 
     def spec(self, dt: float) -> TrajectorySpec:
         return TrajectorySpec(duration=self.duration, dt=dt,
@@ -148,8 +147,6 @@ MANEUVERS = {
             z=_linear(0.0, -10000.0),
             phi=_roll_bank_channel(),
         ),
-        description="straight level run at 200 m/s, 10 km altitude, with "
-                    "a continuous 360 deg roll over 6 s",
     ),
     "level": ManeuverLibraryEntry(
         name="level",
@@ -160,7 +157,6 @@ MANEUVERS = {
             z=_linear(0.0, -10000.0),
             phi=_linear(0.0),
         ),
-        description="wings-level straight run at 200 m/s, 10 km altitude",
     ),
 }
 
@@ -180,6 +176,12 @@ def maneuver_spec(name: str, dt: float) -> TrajectorySpec:
 # ----------------------------------------------------------------------
 
 
+# the stage table's columns, in the stage rate function's unpack order
+_STAGE_COLUMNS = ("v", "v_dot", "v_ddot", "theta_w", "theta_w_dot",
+                  "theta_w_ddot", "psi_w", "psi_w_dot", "psi_w_ddot",
+                  "phi", "phi_dot", "phi_ddot", "rho", "rho_dot")
+
+
 @dataclass
 class KinematicProfiles:
     """Per-station kinematic quantities, precomputed on a half-step grid.
@@ -187,8 +189,9 @@ class KinematicProfiles:
     The marching scheme evaluates stage rates at station times and at
     the midpoints between stations, so every channel is stored on a grid
     of spacing dt/2 with 2*count - 1 points; stations are the even
-    entries. Ground coordinates and velocities are kept at stations only
-    (they are copied verbatim into the solution history).
+    entries. The 14 half-step fields are column views of one C-contiguous
+    float64 ``table`` built by ``setup``. Ground coordinates and velocities
+    are kept at stations only (they go verbatim into the solution history).
     """
 
     stations: UniformGrid
@@ -199,7 +202,8 @@ class KinematicProfiles:
     xg_dot: np.ndarray
     yg_dot: np.ndarray
     zg_dot: np.ndarray
-    # half-step arrays (stage evaluation)
+    # the stage table, and its columns (stage evaluation)
+    table: np.ndarray
     v: np.ndarray
     v_dot: np.ndarray
     v_ddot: np.ndarray
@@ -220,13 +224,9 @@ class KinematicProfiles:
         return arr[::2]
 
     def stage_rows(self) -> np.ndarray:
-        """Half-step data as one C-contiguous ``(2n - 1, 14)`` float64
-        table, a row per half step in the order the stage rate function
-        unpacks it (``_STAGE_ROW``), 112 bytes a row."""
-        return np.column_stack((
-            self.v, self.v_dot, self.v_ddot, self.theta_w, self.theta_w_dot,
-            self.theta_w_ddot, self.psi_w, self.psi_w_dot, self.psi_w_ddot,
-            self.phi, self.phi_dot, self.phi_ddot, self.rho, self.rho_dot))
+        """The stage table itself, not a copy: a row per half step, 112
+        bytes, in the order the stage rate function unpacks it."""
+        return self.table
 
 
 def _path_profiles(xd, yd, zd, xdd, ydd, zdd, xddd, yddd, zddd,
@@ -285,6 +285,7 @@ def setup(spec: TrajectorySpec) -> KinematicProfiles:
     Analytic channels are evaluated on the half-step grid directly.
     Sampled channels are differentiated on the station grid, and every
     half-step profile is then interpolated linearly to the midpoints.
+    The half-step profiles are packed into the stage table here, once.
     """
     spec.validate()
     n = spec.station_count
@@ -307,7 +308,7 @@ def setup(spec: TrajectorySpec) -> KinematicProfiles:
         xdd, ydd, zdd = (ev(c.d2) for c in xyz)
         xddd, yddd, zddd = (ev(c.d3) for c in xyz)
         phi, phi_dot, phi_ddot = ev(man.phi.f), ev(man.phi.d1), ev(man.phi.d2)
-        station, fine = (lambda a: a[::2]), (lambda a: a)
+        station, fine = (lambda a: a[::2].copy()), (lambda a: a)
     else:
         s = spec.samples
         t0, h, scale = float(s.t[0]), dt, 1
@@ -318,7 +319,7 @@ def setup(spec: TrajectorySpec) -> KinematicProfiles:
         xddd, yddd, zddd = (fd_third_derivative(a, dt) for a in (x, y, z))
         phi_dot = fd_first_derivative(phi, dt)
         phi_ddot = fd_second_derivative(phi, dt)
-        station, fine = (lambda a: a), _upsample
+        station, fine = np.copy, _upsample
     _check_altitude(z, scale)
 
     v = np.sqrt(xd * xd + yd * yd + zd * zd)
@@ -333,11 +334,12 @@ def setup(spec: TrajectorySpec) -> KinematicProfiles:
         psi_w=psi_w, psi_w_dot=psi_w_dot, psi_w_ddot=psi_w_ddot,
         phi=phi, phi_dot=phi_dot, phi_ddot=phi_ddot,
         rho=density(z), rho_dot=density_gradient(z) * zd)
+    table = np.column_stack([fine(half_step[k]) for k in _STAGE_COLUMNS])
     return KinematicProfiles(
         stations=UniformGrid(t0, dt, n),
         xg=station(x), yg=station(y), zg=station(z),
         xg_dot=station(xd), yg_dot=station(yd), zg_dot=station(zd),
-        **{name: fine(a) for name, a in half_step.items()})
+        table=table, **dict(zip(_STAGE_COLUMNS, table.T)))
 
 
 # ----------------------------------------------------------------------
@@ -743,9 +745,8 @@ def solve(spec: TrajectorySpec, cfg: AircraftConfig) -> SolutionHistory:
         maneuver=spec.name,
         reference=init.reference,
         t=profiles.stations.times(),
-        xg=profiles.xg.copy(), yg=profiles.yg.copy(), zg=profiles.zg.copy(),
-        xg_dot=profiles.xg_dot.copy(), yg_dot=profiles.yg_dot.copy(),
-        zg_dot=profiles.zg_dot.copy(),
+        xg=profiles.xg, yg=profiles.yg, zg=profiles.zg, xg_dot=profiles.xg_dot,
+        yg_dot=profiles.yg_dot, zg_dot=profiles.zg_dot,
         v=profiles.station(profiles.v).copy(),
         phi=profiles.station(profiles.phi).copy(),
         theta_w=profiles.station(profiles.theta_w).copy(),
@@ -789,7 +790,7 @@ class ConvergenceReport:
 
 
 def convergence_study(spec: TrajectorySpec, cfg: AircraftConfig, dts,
-                      threshold: float = 0.01) -> ConvergenceReport:
+                      threshold: float) -> ConvergenceReport:
     """Solve at several step sizes and compare the control histories.
 
     Histories are compared pairwise on the coarser grid of each pair

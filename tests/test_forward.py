@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import oracles
-from invflight import FlightState, maneuver_spec, simulate, solve
+from invflight import FlightState, kinematics, maneuver_spec, simulate, solve
 from invflight.forward import ControlHistory
 from invflight.numerics import UniformGrid
 
@@ -39,7 +39,7 @@ class TestBallistic:
         grid = UniformGrid(0.0, 1e-3, 6001)
         initial = FlightState(v=100.0)
         run = simulate(initial, constant_controls(grid), cfg,
-                       position0=(0.0, 0.0, -10000.0))
+                       position0=(0.0, 0.0, -10000.0), coeffs=cfg.aero)
         g = 9.81
         # vertical speed grows like g*t while the attitude stays frozen
         w_expected = g * run.t
@@ -51,7 +51,7 @@ class TestBallistic:
         cfg = zero_aero(mirage)
         grid = UniformGrid(0.0, 1e-3, 6001)
         run = simulate(FlightState(v=100.0), constant_controls(grid), cfg,
-                       position0=(0.0, 0.0, -10000.0))
+                       position0=(0.0, 0.0, -10000.0), coeffs=cfg.aero)
         energy = 0.5 * run.v ** 2 + 9.81 * (-run.zg)
         assert np.max(np.abs(energy - energy[0])) < 1e-6 * energy[0]
 
@@ -99,6 +99,15 @@ class TestTrimFlight:
                        position0=(0.0, 0.0, -10000.0), coeffs=coeffs)
         norm = np.sqrt(run.u ** 2 + run.v_side ** 2 + run.w ** 2)
         assert norm == pytest.approx(run.v, rel=1e-12)
+        # each station's airflow is exactly the scalar conversion of its
+        # body velocity, not a vectorized recomputation
+        airflow = np.array([kinematics.airflow_from_body(u, v, w)
+                            for u, v, w in zip(run.u.tolist(),
+                                               run.v_side.tolist(),
+                                               run.w.tolist())])
+        assert np.array_equal(run.v, airflow[:, 0])
+        assert np.array_equal(run.alpha, airflow[:, 1])
+        assert np.array_equal(run.beta, airflow[:, 2])
 
 
 class TestRoundTrip:

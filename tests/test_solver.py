@@ -204,8 +204,12 @@ class TestStageTable:
         assert table.dtype == np.float64
         assert table.flags.c_contiguous
         assert table.shape == (2 * n - 1, len(self.COLUMNS))
+        # the table is built once, by setup, and every half-step channel
+        # is a view of its column, not a second copy
+        assert prof.stage_rows() is table
         for k, name in enumerate(self.COLUMNS):
             assert np.array_equal(table[:, k], getattr(prof, name)), name
+            assert np.shares_memory(getattr(prof, name), table), name
         # the packed row read of the rate function sees the same row
         row = solver._STAGE_ROW
         for i in (0, 1, n, 2 * n - 2):
@@ -312,8 +316,9 @@ class TestSolve:
         # traced peak of the whole solve: about 1,590 B a station when
         # the stage table was a list of float tuples and each station
         # went through 21 scalar stores, about 830 B with the packed
-        # table and record block (at dt 1e-2: traced, a 1e-3 solve
-        # takes half a minute)
+        # table and record block while the half-step profiles were kept
+        # beside the table, about 720 B now that they are its columns
+        # (at dt 1e-2: traced, a 1e-3 solve takes half a minute)
         spec = maneuver_spec("mirage-roll", 1e-2)
         tracemalloc.start()
         try:
@@ -321,7 +326,7 @@ class TestSolve:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak / spec.station_count < 1100
+        assert peak / spec.station_count < 780
 
     def test_roll_maneuver_sanity(self, mirage):
         hist = solve(maneuver_spec("mirage-roll", 1e-3), mirage)
@@ -498,11 +503,11 @@ class TestConvergenceStudy:
     def test_requires_at_least_two_steps(self, mirage):
         with pytest.raises(ConfigError):
             convergence_study(maneuver_spec("mirage-roll", 1e-3), mirage,
-                              [1e-3])
+                              [1e-3], threshold=0.01)
 
     def test_fine_steps_agree(self, mirage):
         report = convergence_study(maneuver_spec("mirage-roll", 1e-3),
-                                   mirage, [1e-3, 2e-3])
+                                   mirage, [1e-3, 2e-3], threshold=0.01)
         assert len(report.pairs) == 1
         pair = report.pairs[0]
         assert not pair.diverged
@@ -523,7 +528,8 @@ class TestConvergenceStudy:
 
         monkeypatch.setattr(solver_mod, "solve", flaky_solve)
         report = solver_mod.convergence_study(
-            maneuver_spec("mirage-roll", 1e-2), mirage, [1e-2, 2e-2])
+            maneuver_spec("mirage-roll", 1e-2), mirage, [1e-2, 2e-2],
+            threshold=0.01)
         assert 2e-2 in report.failures
         assert report.pairs[0].diverged
         assert not report.insensitive
