@@ -16,14 +16,12 @@ __all__ = ["TROPOPAUSE_ALTITUDE", "density", "density_gradient"]
 
 TROPOPAUSE_ALTITUDE = 11_000.0  # m
 
+# the gradient-layer exponent g/(L*R) - 1 and scale L/T_sl, from ISA once
+_EXPONENT = ISA.g / (ISA.lapse_rate * ISA.gas_constant) - 1.0
+_SCALE = ISA.lapse_rate / ISA.temp_sl
+
 
 def _check_range(z_g):
-    if isinstance(z_g, float):
-        # scalar path of the forward simulator; NaN passes as with numpy
-        alt = -z_g
-        if alt < 0.0 or alt > TROPOPAUSE_ALTITUDE:
-            _raise_out_of_range(alt)
-        return
     alt = -np.asarray(z_g, dtype=float)
     bad = (alt < 0.0) | (alt > TROPOPAUSE_ALTITUDE)
     if np.any(bad):
@@ -44,13 +42,18 @@ def density(z_g):
 
         rho = rho_sl * (1 + (L/T_sl) * z_g) ** (g/(L*R) - 1)
 
-    Strictly decreasing with altitude over the valid range. Accepts
-    scalars or numpy arrays; raises AltitudeOutOfRange outside
-    [0, 11000] m altitude.
+    n and L/T_sl are computed once, at import, from ``ISA``. Strictly
+    decreasing with altitude. Takes scalars or numpy arrays; raises
+    AltitudeOutOfRange outside [0, 11000] m altitude. A float (the
+    forward simulator's call) is checked inline; NaN passes, as in arrays.
     """
-    _check_range(z_g)
-    n = ISA.g / (ISA.lapse_rate * ISA.gas_constant) - 1.0
-    return ISA.rho_sl * (1.0 + (ISA.lapse_rate / ISA.temp_sl) * z_g) ** n
+    if isinstance(z_g, float):
+        alt = -z_g
+        if alt < 0.0 or alt > TROPOPAUSE_ALTITUDE:
+            _raise_out_of_range(alt)
+    else:
+        _check_range(z_g)
+    return ISA.rho_sl * (1.0 + _SCALE * z_g) ** _EXPONENT
 
 
 def density_gradient(z_g):
@@ -59,6 +62,5 @@ def density_gradient(z_g):
     Positive: z_g increases downward, where the air is denser.
     """
     _check_range(z_g)
-    n = ISA.g / (ISA.lapse_rate * ISA.gas_constant) - 1.0
-    scale = ISA.lapse_rate / ISA.temp_sl
-    return ISA.rho_sl * n * scale * (1.0 + scale * z_g) ** (n - 1.0)
+    return (ISA.rho_sl * _EXPONENT * _SCALE
+            * (1.0 + _SCALE * z_g) ** (_EXPONENT - 1.0))

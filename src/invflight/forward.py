@@ -19,7 +19,7 @@ import numpy as np
 
 from . import aero, dynamics, kinematics
 from .atmosphere import density
-from .errors import NonFiniteState
+from .errors import FlightMechanicsError, NonFiniteState, SolverAbort
 from .model import ISA, AircraftConfig, FlightState
 from .numerics import UniformGrid, rk4_step
 
@@ -75,6 +75,7 @@ def simulate(initial: FlightState, controls: ControlHistory,
     for the half-step stage evaluations. ``coeffs`` is the coefficient set
     flown (the round trip's is the inverse run's trim-shifted lift curve).
     Each station packs its state and ``airflow_from_body`` into one row.
+    A kernel error or non-finite state raises ``SolverAbort`` at its step.
     """
     inertia = dynamics.inertia_system(cfg)
     grid = controls.grid
@@ -158,12 +159,14 @@ def simulate(initial: FlightState, controls: ControlHistory,
     pack_station(block, 0, *y, *airflow(y[0], y[1], y[2]))
     for i in range(n - 1):
         t_n = t0 + i * dt
-        y, _ = rk4_step(rates, t_n, y, dt)
-        if not all(map(math.isfinite, y)):
-            raise NonFiniteState(
-                f"forward state went non-finite at station {i + 1}")
-        pack_station(block, _STATION_RECORD.size * (i + 1), *y,
-                     *airflow(y[0], y[1], y[2]))
+        try:
+            y, _ = rk4_step(rates, t_n, y, dt)
+            if not all(map(math.isfinite, y)):
+                raise NonFiniteState("forward state went non-finite")
+            pack_station(block, _STATION_RECORD.size * (i + 1), *y,
+                         *airflow(y[0], y[1], y[2]))
+        except FlightMechanicsError as err:
+            raise SolverAbort("forward simulation", i + 1, err) from err
 
     return ForwardHistory(grid=grid, t=grid.times(),
                           **dict(zip(names, block.T)))

@@ -106,8 +106,9 @@ def airflow_from_body(u, v_side, w):
     if v <= 0.0:
         raise ZeroVelocity("velocity magnitude is zero")
     alpha = math.atan2(w, u)
-    beta = math.asin(min(1.0, max(-1.0, v_side / v)))
-    return v, alpha, beta
+    s = v_side / v
+    s = s if s > -1.0 else -1.0  # min(1.0, max(-1.0, s)) without calls
+    return v, alpha, math.asin(s if s < 1.0 else 1.0)
 
 
 # ----------------------------------------------------------------------
@@ -178,14 +179,16 @@ def path_angles_from_attitude(alpha, beta, phi, theta, psi):
     ax = cb * ca
     st, ct = math.sin(theta), math.cos(theta)
     s = ax * st - vert * ct
-    theta_w = math.asin(min(1.0, max(-1.0, s)))
+    s = s if s > -1.0 else -1.0  # clamped inline, as in airflow_from_body
+    theta_w = math.asin(s if s < 1.0 else 1.0)
     ctw = math.cos(theta_w)
     if ctw < _GIMBAL_TOL:
         raise VerticalFlight("flight path is vertical; azimuth undefined")
     arg = lat / ctw
     if abs(arg) > 1.0 + 1e-12:
         raise NoSolution("no heading satisfies the lateral coupling")
-    psi_w = psi + math.asin(min(1.0, max(-1.0, arg)))
+    arg = arg if arg > -1.0 else -1.0
+    psi_w = psi + math.asin(arg if arg < 1.0 else 1.0)
     return theta_w, psi_w
 
 

@@ -24,8 +24,8 @@ the body-rate derivatives, in that order, seeding the angular
 accelerations from the previous stage (station values for the first
 stage). That cascade is affine in its seed, so it runs once through the
 kernels and its remaining ``CASCADE_SWEEPS - 1`` passes are applied in
-closed form through the stage Jacobian; the repeats keep the seed error
-negligible at coarse steps. The re-evaluation at each new station, seeded
+closed form through the stage Jacobian, and that count is a gain on a
+hidden constraint's residual. The re-evaluation at each new station, seeded
 with the step's averaged angular accelerations, is also the next step's
 first stage (first same as last), so a step costs four rate evaluations.
 The kernels take their arguments positionally, in signature order:
@@ -427,8 +427,10 @@ def initialize(profiles: KinematicProfiles,
 # ----------------------------------------------------------------------
 
 
-# Passes of the angular-acceleration cascade per stage evaluation. The
-# count moves the results; the roll maneuver's rudder peak against it:
+# Passes of the angular-acceleration cascade per stage evaluation; the
+# count less one is a gain on a hidden-constraint residual, not a
+# convergence count (see _make_rate_function). It moves the results;
+# the roll maneuver's rudder peak against it:
 #
 #   sweeps   max|delta_n| at dt = 1e-3   at dt = 1e-4
 #        1   47.11 deg                   45.88 deg
@@ -468,14 +470,15 @@ def _make_rate_function(rows, t0, half_dt, cfg, coeffs, lag):
     returned rate equals the last sweep of the full cascade up to
     roundoff.
 
-    A single pass is the plain stage-lagged scheme; the repeats shrink
-    the lag error so coarse steps track fine ones. The cycle cannot be
-    closed exactly by solving with (I - A)^-1: at wings-level trim-like
-    states its feedback gain is exactly one (the differentiated system
-    leaves the pitch/yaw acceleration split undetermined there), and the
-    inherited seed is precisely what regularizes it, so a bounded sweep
-    count is the honest scheme. The kernels get positional arguments in
-    signature order; binding their 19-29 keywords cost 2-3 us a call.
+    A single pass is the plain stage-lagged scheme. On the attitude/path
+    coupling, not only at trim, A^2 = A (eigenvalues {1, 1, 0}), so k
+    sweeps from seed x0 return ``A x0 + c + (k - 1) A c``: ``A c`` is the
+    residual of a hidden algebraic constraint and ``CASCADE_SWEEPS - 1``
+    a proportional gain on it, not a convergence count, and (I - A) has
+    no inverse. Stage states off the coupling (a 1e-2 solve) break
+    A^2 = A, so the sweeps stay a loop. The kernels get positional
+    arguments in signature order; binding their 19-29 keywords cost
+    2-3 us a call.
     """
     mass = cfg.mass
     g = ISA.g

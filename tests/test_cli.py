@@ -338,6 +338,34 @@ class TestForward:
                      "--out", str(tmp_path))
         assert status == EXIT_MISMATCH
 
+    def test_forward_failure_names_the_station(self, tmp_path, capsys):
+        # the level history flown from 10 m with the elevator held nose
+        # down meets the sea before its end
+        out = tmp_path / "inv"
+        run("inverse", "--maneuver", "level", "--dt", "1e-2",
+            "--out", str(out), "--angles", "rad")
+        lines = (out / "history.csv").read_text().splitlines()
+        names = lines[0].split(",")
+        iz, im = names.index("z_g"), names.index("delta_m")
+        dive = [lines[0]]
+        for line in lines[1:]:
+            parts = line.split(",")
+            parts[iz], parts[im] = "-10", "0.05"
+            dive.append(",".join(parts))
+        bad = tmp_path / "dive.csv"
+        bad.write_text("\n".join(dive) + "\n")
+        assert run("forward", "--history", str(bad), "--angles", "rad",
+                   "--out", str(tmp_path)) == EXIT_MISMATCH
+        report = dict(line.split(" = ") for line in
+                      (tmp_path / "forward.txt").read_text().splitlines())
+        assert report["verdict"] == "mismatch"
+        head, _, cause = report["forward_failure"].partition(": ")
+        assert head.startswith("forward simulation failed at station ")
+        assert 0 < int(head.rsplit(" ", 1)[1]) < len(lines) - 1
+        assert cause.startswith("altitude ")
+        assert "forward run failed: " + report["forward_failure"] in \
+            capsys.readouterr().err
+
 
     def test_non_finite_tolerances_are_input_errors(self, tmp_path, capsys):
         # a history flown with half its rudder mismatches at the default

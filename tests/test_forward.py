@@ -8,7 +8,17 @@ import numpy as np
 import pytest
 
 import oracles
-from invflight import FlightState, kinematics, maneuver_spec, simulate, solve
+from invflight import (
+    AltitudeOutOfRange,
+    FlightState,
+    NonFiniteState,
+    SolverAbort,
+    forward,
+    kinematics,
+    maneuver_spec,
+    simulate,
+    solve,
+)
 from invflight.forward import ControlHistory
 from invflight.numerics import UniformGrid
 
@@ -54,6 +64,40 @@ class TestBallistic:
                        position0=(0.0, 0.0, -10000.0), coeffs=cfg.aero)
         energy = 0.5 * run.v ** 2 + 9.81 * (-run.zg)
         assert np.max(np.abs(energy - energy[0])) < 1e-6 * energy[0]
+
+
+class TestFailureStation:
+    def test_leaving_the_atmosphere_names_the_station(self, mirage):
+        # with zero thrust and zero aerodynamics the aircraft falls from
+        # 100 m; RK4 integrates the parabola exactly, so the first step
+        # whose end lies below sea level is the failing one
+        cfg = zero_aero(mirage)
+        grid = UniformGrid(0.0, 1e-2, 601)
+        altitude = 100.0 - 0.5 * 9.81 * grid.times() ** 2
+        station = int(np.argmax(altitude < 0.0))
+        assert altitude[station - 1] > 0.1 and altitude[station] < -0.1
+        with pytest.raises(SolverAbort) as info:
+            simulate(FlightState(v=100.0), constant_controls(grid), cfg,
+                     position0=(0.0, 0.0, -100.0), coeffs=cfg.aero)
+        err = info.value
+        assert (err.phase, err.station) == ("forward simulation", station)
+        assert isinstance(err.cause, AltitudeOutOfRange)
+        assert str(err).startswith(
+            f"forward simulation failed at station {station}: altitude ")
+
+    def test_non_finite_state_names_the_station_once(self, mirage,
+                                                     monkeypatch):
+        def blow_up(f, t, y, dt):
+            return (math.nan,) * len(y), None
+
+        monkeypatch.setattr(forward, "rk4_step", blow_up)
+        grid = UniformGrid(0.0, 1e-2, 11)
+        with pytest.raises(SolverAbort) as info:
+            simulate(FlightState(v=200.0), constant_controls(grid), mirage,
+                     position0=(0.0, 0.0, -10000.0), coeffs=mirage.aero)
+        assert isinstance(info.value.cause, NonFiniteState)
+        assert str(info.value) == ("forward simulation failed at station 1:"
+                                   " forward state went non-finite")
 
 
 class TestTrimFlight:

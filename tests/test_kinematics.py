@@ -163,6 +163,61 @@ class TestVelocityTriplet:
             assert back == pytest.approx((v, alpha, beta), abs=1e-12)
 
 
+def _same_float(a, b):
+    """Equal as IEEE values: NaN matches NaN, and +0.0 differs from -0.0."""
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+class TestUnitClamps:
+    """The arcsine arguments are clamped to [-1, 1] without builtin calls;
+    the result must be the float ``min(1.0, max(-1.0, x))`` gives."""
+
+    @pytest.mark.parametrize("u, v_side, w", [
+        (0.0, 5.0, 0.0), (0.0, -5.0, 0.0),   # ratio exactly +-1
+        (1.0, 0.0, 0.0), (1.0, -0.0, 0.0),   # +-0.0 keep their sign
+        (1e-300, 1.0, 0.0), (math.inf, 1.0, 0.0), (math.nan, 0.0, 0.0),
+        (3.0, -4.0, 12.0)])
+    def test_airflow_matches_builtin_clamp(self, u, v_side, w):
+        v = math.sqrt(u * u + v_side * v_side + w * w)
+        want = (v, math.atan2(w, u),
+                math.asin(min(1.0, max(-1.0, v_side / v))))
+        got = airflow_from_body(u, v_side, w)
+        assert all(map(_same_float, got, want)), (got, want)
+
+    def test_nan_ratio_gives_negative_right_angle_sideslip(self):
+        # max(-1.0, nan) is -1.0, so a NaN ratio is clamped to -1
+        assert airflow_from_body(math.nan, 0.0, 0.0)[2] == -math.pi / 2
+
+    def test_path_angles_match_builtin_clamp(self):
+        def builtin(alpha, beta, phi, theta, psi):
+            sa, ca = math.sin(alpha), math.cos(alpha)
+            sb, cb = math.sin(beta), math.cos(beta)
+            sp, cp = math.sin(phi), math.cos(phi)
+            lat = sb * cp - cb * sa * sp
+            vert = sb * sp + cb * sa * cp
+            s = cb * ca * math.sin(theta) - vert * math.cos(theta)
+            theta_w = math.asin(min(1.0, max(-1.0, s)))
+            arg = lat / math.cos(theta_w)
+            return theta_w, psi + math.asin(min(1.0, max(-1.0, arg)))
+
+        rng = random.Random(11)
+        for _ in range(500):
+            args = (rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5),
+                    rng.uniform(-3.2, 3.2), rng.uniform(-1.2, 1.2),
+                    rng.uniform(-3.2, 3.2))
+            assert path_angles_from_attitude(*args) == builtin(*args)
+
+    @pytest.mark.parametrize("alpha, theta", [(math.nan, 0.0),
+                                              (0.0, math.pi / 2)])
+    def test_vertical_path_still_raises(self, alpha, theta):
+        # a NaN airflow angle clamps the path elevation to -90 deg, and a
+        # 90 deg pitch at zero airflow angles puts it at +90 deg
+        with pytest.raises(VerticalFlight):
+            path_angles_from_attitude(alpha, 0.0, 0.3, theta, 0.1)
+
+
 class TestAttitudePathCoupling:
     def test_zero_airflow_angles_identity(self):
         for phi in (0.0, 0.7, -2.0, 3.0):
