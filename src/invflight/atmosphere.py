@@ -29,9 +29,12 @@ def _check_range(z_g):
             float(np.atleast_1d(alt)[np.argmax(np.atleast_1d(bad))]))
 
 
-def _raise_out_of_range(alt):
-    raise AltitudeOutOfRange(
-        f"altitude {alt:.1f} m outside [0, {TROPOPAUSE_ALTITUDE:.0f}] m")
+def _raise_out_of_range(alt, where=""):
+    text = f"{alt:.1f}"
+    if 0.0 <= float(text) <= TROPOPAUSE_ALTITUDE:  # rounded into the range
+        text = f"{alt}"
+    raise AltitudeOutOfRange(f"altitude {text} m{where} outside "
+                             f"[0, {TROPOPAUSE_ALTITUDE:.0f}] m")
 
 
 def density(z_g):

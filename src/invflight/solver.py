@@ -8,7 +8,8 @@ histories and all remaining flight variables:
                 speed, flight-path angles, bank, air density, and their
                 time derivatives (trajectory derivatives analytic when
                 available, finite differences otherwise; speed
-                derivatives always by finite differences);
+                derivatives always by finite differences), each written
+                into its column of the stage table as it is computed;
   initialize    equilibrium start: zero airflow angles, pitch and heading
                 equal to the path angles, thrust from the axial balance, body
                 rates from the Euler rates, deflections from the moment
@@ -41,9 +42,9 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import aero, dynamics, kinematics
-from .atmosphere import TROPOPAUSE_ALTITUDE, density, density_gradient
+from .atmosphere import (TROPOPAUSE_ALTITUDE, _raise_out_of_range, density,
+                         density_gradient)
 from .errors import (
-    AltitudeOutOfRange,
     ConfigError,
     FlightMechanicsError,
     NonFiniteState,
@@ -190,8 +191,10 @@ class KinematicProfiles:
     the midpoints between stations, so every channel is stored on a grid
     of spacing dt/2 with 2*count - 1 points; stations are the even
     entries. The 14 half-step fields are column views of one C-contiguous
-    float64 ``table`` built by ``setup``. Ground coordinates and velocities
-    are kept at stations only (they go verbatim into the solution history).
+    float64 ``table``, which ``setup`` allocates first and fills a column
+    at a time. Ground coordinates and velocities are kept at stations
+    only, as the rows of one ``(6, count)`` block (they go verbatim into
+    the solution history).
     """
 
     stations: UniformGrid
@@ -229,116 +232,108 @@ class KinematicProfiles:
         return self.table
 
 
-def _path_profiles(xd, yd, zd, xdd, ydd, zdd, xddd, yddd, zddd,
-                   v, v_dot, v_ddot, scale):
-    """Flight-path angles and their rates from trajectory derivatives.
-
-    The elevation chain comes from differentiating the vertical velocity
-    resolution, the azimuth chain from the two horizontal resolutions
-    combined, which stays valid for any heading. ``scale`` is the number
-    of array entries per station, for the station index in errors.
-    """
-    if np.any(v <= 0.0):
-        idx = int(np.argmax(v <= 0.0))
-        raise ZeroVelocity(f"zero speed at station {idx // scale}")
-    stw = np.clip(-zd / v, -1.0, 1.0)
-    theta_w = np.arcsin(stw)
-    ctw = np.cos(theta_w)
-    if np.any(ctw < _VERTICAL_TOL):
-        idx = int(np.argmax(ctw < _VERTICAL_TOL))
-        raise VerticalFlight(f"vertical flight path at station {idx // scale}")
-    psi_w = np.unwrap(np.arctan2(yd, xd))
-    spw, cpw = np.sin(psi_w), np.cos(psi_w)
-
-    vctw = v * ctw
-    theta_w_dot = -(zdd + v_dot * stw) / vctw
-    theta_w_ddot = -(zddd + v_ddot * stw + 2.0 * v_dot * ctw * theta_w_dot
-                     - v * stw * theta_w_dot * theta_w_dot) / vctw
-    psi_w_dot = (cpw * ydd - spw * xdd) / vctw
-    psi_w_ddot = ((-spw * ydd - cpw * xdd) * psi_w_dot
-                  + cpw * yddd - spw * xddd
-                  - psi_w_dot * (v_dot * ctw - v * stw * theta_w_dot)) / vctw
-    return theta_w, theta_w_dot, theta_w_ddot, psi_w, psi_w_dot, psi_w_ddot
-
-
 def _check_altitude(z, scale):
     alt = -z
     bad = (alt < 0.0) | (alt > TROPOPAUSE_ALTITUDE)
     if np.any(bad):
         idx = int(np.argmax(bad))
-        raise AltitudeOutOfRange(
-            f"altitude {alt[idx]:.1f} m at station {idx // scale} outside "
-            f"[0, {TROPOPAUSE_ALTITUDE:.0f}] m")
-
-
-def _upsample(arr: np.ndarray) -> np.ndarray:
-    """Linear midpoint interpolation onto the half-step grid."""
-    fine = np.empty(2 * arr.size - 1)
-    fine[::2] = arr
-    fine[1::2] = 0.5 * (arr[:-1] + arr[1:])
-    return fine
+        _raise_out_of_range(float(alt[idx]), f" at station {idx // scale}")
 
 
 def setup(spec: TrajectorySpec) -> KinematicProfiles:
     """Turn a trajectory prescription into kinematic profiles.
 
-    Analytic channels are evaluated on the half-step grid directly.
-    Sampled channels are differentiated on the station grid, and every
-    half-step profile is then interpolated linearly to the midpoints.
-    The half-step profiles are packed into the stage table here, once.
+    The stage table is allocated first, and each profile is written into
+    its column as soon as it is computed; later formulas read earlier
+    profiles back through the columns. Each trajectory derivative is
+    evaluated where a formula needs it and dropped after its last use.
+    Analytic channels are evaluated on the half-step grid, every row of
+    the table. Sampled channels are differentiated on the station grid,
+    the even rows, and each odd row then gets the mean of its neighbours.
     """
     spec.validate()
     n = spec.station_count
     dt = spec.dt
+    # what setup keeps, the stage table and one block of the six station
+    # arrays, comes before any temporary, so that no kept array sits
+    # among the freed temporaries and keeps their pages resident
+    table = np.empty((2 * n - 1, len(_STAGE_COLUMNS)))
+    ground = np.empty((6, n))  # x, y, z and their rates
     if spec.analytic is not None:
         man = spec.analytic
-        xyz = (man.x, man.y, man.z)
-        for name, ch in zip("xyz", xyz):
-            if ch.d3 is None:
+        for name in "xyz":
+            if getattr(man, name).d3 is None:
                 raise ConfigError([("missing_derivative",
                                     f"analytic channel {name} needs d3")])
         t0, h, scale = 0.0, 0.5 * dt, 2
         tf = h * np.arange(2 * n - 1)
 
-        def ev(fn):
-            return np.asarray(fn(tf), dtype=float)
-
-        x, y, z = (ev(c.f) for c in xyz)
-        xd, yd, zd = (ev(c.d1) for c in xyz)
-        xdd, ydd, zdd = (ev(c.d2) for c in xyz)
-        xddd, yddd, zddd = (ev(c.d3) for c in xyz)
-        phi, phi_dot, phi_ddot = ev(man.phi.f), ev(man.phi.d1), ev(man.phi.d2)
-        station, fine = (lambda a: a[::2].copy()), (lambda a: a)
+        def traj(name, k):  # k-th time derivative of a channel
+            ch = getattr(man, name)
+            return np.asarray((ch.f, ch.d1, ch.d2, ch.d3)[k](tf), dtype=float)
     else:
         s = spec.samples
         t0, h, scale = float(s.t[0]), dt, 1
-        x, y, z, phi = (np.asarray(a, dtype=float)
-                        for a in (s.x, s.y, s.z, s.phi))
-        xd, yd, zd = (fd_first_derivative(a, dt) for a in (x, y, z))
-        xdd, ydd, zdd = (fd_second_derivative(a, dt) for a in (x, y, z))
-        xddd, yddd, zddd = (fd_third_derivative(a, dt) for a in (x, y, z))
-        phi_dot = fd_first_derivative(phi, dt)
-        phi_ddot = fd_second_derivative(phi, dt)
-        station, fine = np.copy, _upsample
-    _check_altitude(z, scale)
+        fd = (None, fd_first_derivative, fd_second_derivative,
+              fd_third_derivative)
 
-    v = np.sqrt(xd * xd + yd * yd + zd * zd)
-    v_dot = fd_first_derivative(v, h)
-    v_ddot = fd_second_derivative(v, h)
-    (theta_w, theta_w_dot, theta_w_ddot,
-     psi_w, psi_w_dot, psi_w_ddot) = _path_profiles(
-        xd, yd, zd, xdd, ydd, zdd, xddd, yddd, zddd, v, v_dot, v_ddot, scale)
-    half_step = dict(
-        v=v, v_dot=v_dot, v_ddot=v_ddot,
-        theta_w=theta_w, theta_w_dot=theta_w_dot, theta_w_ddot=theta_w_ddot,
-        psi_w=psi_w, psi_w_dot=psi_w_dot, psi_w_ddot=psi_w_ddot,
-        phi=phi, phi_dot=phi_dot, phi_ddot=phi_ddot,
-        rho=density(z), rho_dot=density_gradient(z) * zd)
-    table = np.column_stack([fine(half_step[k]) for k in _STAGE_COLUMNS])
+        def traj(name, k):
+            a = np.asarray(getattr(s, name), dtype=float)
+            return fd[k](a, dt) if k else a
+
+    (v, v_dot, v_ddot, theta_w, theta_w_dot, theta_w_ddot, psi_w, psi_w_dot,
+     psi_w_ddot, phi, phi_dot, phi_ddot, rho, rho_dot) = table[::2 // scale].T
+    for k, col in enumerate((phi, phi_dot, phi_ddot)):
+        col[:] = traj("phi", k)
+    z = traj("z", 0)
+    _check_altitude(z, scale)
+    xd, yd, zd = traj("x", 1), traj("y", 1), traj("z", 1)
+    v[:] = np.sqrt(xd * xd + yd * yd + zd * zd)
+    for row, a in zip(ground, (traj("x", 0), traj("y", 0), z, xd, yd, zd)):
+        row[:] = a[::scale]
+    # the flight-path angles: the elevation chain differentiates the
+    # vertical velocity resolution, the azimuth chain the two horizontal
+    # ones combined, which stays valid for any heading. Transcendentals
+    # take contiguous arrays, never the strided columns: numpy may run
+    # another loop there, with other last bits (arctan2 does, numpy 2.4
+    # on AVX-512)
+    psi_w[:] = azimuth = np.unwrap(np.arctan2(yd, xd))
+    del xd, yd
+    spw, cpw = np.sin(azimuth), np.cos(azimuth)
+    del azimuth
+    v_dot[:] = fd_first_derivative(v, h)
+    v_ddot[:] = fd_second_derivative(v, h)
+    if np.any(v <= 0.0):
+        idx = int(np.argmax(v <= 0.0))
+        raise ZeroVelocity(f"zero speed at station {idx // scale}")
+    stw = np.clip(-zd / v, -1.0, 1.0)
+    theta_w[:] = elevation = np.arcsin(stw)
+    ctw = np.cos(elevation)
+    del elevation
+    if np.any(ctw < _VERTICAL_TOL):
+        idx = int(np.argmax(ctw < _VERTICAL_TOL))
+        raise VerticalFlight(f"vertical flight path at station {idx // scale}")
+    rho[:] = density(z)
+    rho_dot[:] = density_gradient(z) * zd
+    del z, zd
+    vctw = v * ctw
+    theta_w_dot[:] = -(traj("z", 2) + v_dot * stw) / vctw
+    theta_w_ddot[:] = -(traj("z", 3) + v_ddot * stw
+                        + 2.0 * v_dot * ctw * theta_w_dot
+                        - v * stw * theta_w_dot * theta_w_dot) / vctw
+    xdd, ydd = traj("x", 2), traj("y", 2)
+    psi_w_dot[:] = (cpw * ydd - spw * xdd) / vctw
+    psi_w_ddot[:] = ((-spw * ydd - cpw * xdd) * psi_w_dot
+                     + cpw * traj("y", 3) - spw * traj("x", 3)
+                     - psi_w_dot * (v_dot * ctw - v * stw * theta_w_dot)
+                     ) / vctw
+    if scale == 1:  # samples: linear midpoint interpolation
+        for col in table.T:
+            even = col[::2]
+            col[1::2] = 0.5 * (even[:-1] + even[1:])
     return KinematicProfiles(
         stations=UniformGrid(t0, dt, n),
-        xg=station(x), yg=station(y), zg=station(z),
-        xg_dot=station(xd), yg_dot=station(yd), zg_dot=station(zd),
+        **dict(zip(("xg", "yg", "zg", "xg_dot", "yg_dot", "zg_dot"), ground)),
         table=table, **dict(zip(_STAGE_COLUMNS, table.T)))
 
 

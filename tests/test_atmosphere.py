@@ -74,7 +74,10 @@ def test_numpy_scalar_equals_float(fn):
 
 @pytest.mark.parametrize("fn", [density, density_gradient])
 @pytest.mark.parametrize("z_g, alt", [(10.0, "-10.0"),
-                                      (-11000.5, "11000.5")])
+                                      (-11000.5, "11000.5"),
+                                      # one decimal would read as inside
+                                      (0.004, "-0.004"),
+                                      (-11000.04, "11000.04")])
 def test_out_of_range_message(fn, z_g, alt):
     text = f"altitude {alt} m outside [0, 11000] m"
     for arg in (z_g, np.array([-5.0, z_g])):

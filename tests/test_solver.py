@@ -16,7 +16,13 @@ from invflight import (
     solve,
 )
 from invflight import solver
+from invflight.atmosphere import density, density_gradient
 from invflight.model import AnalyticChannel, AnalyticManeuver, SampledManeuver
+from invflight.numerics import (
+    fd_first_derivative,
+    fd_second_derivative,
+    fd_third_derivative,
+)
 from invflight.solver import MANEUVERS
 
 from oracles import Sine, swept_stage_rates
@@ -65,14 +71,26 @@ def helix_spec(radius=2000.0, omega=0.05, sink=10.0, depth=5000.0,
                               x=x, y=y, z=z, phi=constant_channel(0.0)))
 
 
-def sampled_helix_spec(dt=0.01, n=601):
+def sampled_helix_spec(dt=0.01, n=601, **shape):
     """``helix_spec`` sampled at its stations, as a maneuver file gives it."""
     t = dt * np.arange(n)
-    helix = helix_spec(dt=dt).analytic
+    helix = helix_spec(dt=dt, **shape).analytic
     return TrajectorySpec(
         duration=dt * (n - 1), dt=dt, name="helix-sampled",
         samples=SampledManeuver(t=t, x=helix.x.f(t), y=helix.y.f(t),
                                 z=helix.z.f(t), phi=np.zeros(n)))
+
+
+def sampled_weave_spec(dt=0.01, n=601):
+    """A climbing, accelerating weave sampled at its stations: every
+    profile varies."""
+    t = dt * np.arange(n)
+    return TrajectorySpec(
+        duration=dt * (n - 1), dt=dt, name="weave-sampled",
+        samples=SampledManeuver(
+            t=t, x=150.0 * t + 2.0 * t * t, y=300.0 * np.sin(0.5 * t),
+            z=-6000.0 + 40.0 * np.sin(0.7 * t) - 3.0 * t,
+            phi=0.3 * np.sin(0.9 * t)))
 
 
 class TestSetup:
@@ -138,6 +156,79 @@ class TestSetup:
         with pytest.raises(AltitudeOutOfRange, match="station 0"):
             setup(spec)
 
+    @pytest.mark.parametrize("spec", [
+        helix_spec(depth=-0.004, sink=0.0),
+        sampled_helix_spec(depth=-0.004, sink=0.0)],
+        ids=["analytic", "sampled"])
+    def test_altitude_message_shows_the_violation(self, spec):
+        # 4 mm below sea level: one decimal would print "-0.0"
+        with pytest.raises(AltitudeOutOfRange) as info:
+            setup(spec)
+        assert str(info.value) == ("altitude -0.004 m at station 0 "
+                                   "outside [0, 11000] m")
+
+    @pytest.mark.parametrize("spec, bound", [
+        (maneuver_spec("mirage-roll", 1e-3), 15),
+        (sampled_helix_spec(dt=1e-3, n=6001), 22)],
+        ids=["roll", "sampled-helix"])
+    def test_transient_memory(self, spec, bound):
+        # traced peak of setup above what it keeps (the stage table and
+        # the six station arrays), in half-step arrays: 27 on the roll
+        # and 22 on the sampled helix while every profile was a
+        # temporary until the table was stacked, 13 and 6.5 now that
+        # each is written into its column as it is computed
+        setup(spec)
+        tracemalloc.start()
+        try:
+            prof = setup(spec)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (peak - kept) / prof.table[:, 0].nbytes <= bound
+
+    def test_sampled_midpoints_are_station_means(self):
+        table = setup(sampled_weave_spec()).table
+        assert np.array_equal(table[1::2],
+                              0.5 * (table[:-2:2] + table[2::2]))
+
+    def test_sampled_stations_are_station_grid_profiles(self):
+        # every profile of a sampled spec is computed on the station grid
+        # (the even rows), in this operation order
+        spec = sampled_weave_spec()
+        s, dt = spec.samples, spec.dt
+        d1, d2 = fd_first_derivative, fd_second_derivative
+        xd, yd, zd = (d1(a, dt) for a in (s.x, s.y, s.z))
+        xdd, ydd, zdd = (d2(a, dt) for a in (s.x, s.y, s.z))
+        xddd, yddd, zddd = (fd_third_derivative(a, dt)
+                            for a in (s.x, s.y, s.z))
+        v = np.sqrt(xd * xd + yd * yd + zd * zd)
+        v_dot, v_ddot = d1(v, dt), d2(v, dt)
+        stw = np.clip(-zd / v, -1.0, 1.0)
+        theta_w = np.arcsin(stw)
+        ctw = np.cos(theta_w)
+        psi_w = np.unwrap(np.arctan2(yd, xd))
+        spw, cpw = np.sin(psi_w), np.cos(psi_w)
+        vctw = v * ctw
+        theta_w_dot = -(zdd + v_dot * stw) / vctw
+        psi_w_dot = (cpw * ydd - spw * xdd) / vctw
+        expected = dict(
+            v=v, v_dot=v_dot, v_ddot=v_ddot, theta_w=theta_w,
+            theta_w_dot=theta_w_dot,
+            theta_w_ddot=-(zddd + v_ddot * stw
+                           + 2.0 * v_dot * ctw * theta_w_dot
+                           - v * stw * theta_w_dot * theta_w_dot) / vctw,
+            psi_w=psi_w, psi_w_dot=psi_w_dot,
+            psi_w_ddot=((-spw * ydd - cpw * xdd) * psi_w_dot
+                        + cpw * yddd - spw * xddd
+                        - psi_w_dot * (v_dot * ctw - v * stw * theta_w_dot)
+                        ) / vctw,
+            phi=s.phi, phi_dot=d1(s.phi, dt), phi_ddot=d2(s.phi, dt),
+            rho=density(s.z), rho_dot=density_gradient(s.z) * zd)
+        table = setup(spec).table
+        assert len(expected) == len(TestStageTable.COLUMNS)
+        for k, name in enumerate(TestStageTable.COLUMNS):
+            assert np.array_equal(table[::2, k], expected[name]), name
+
     def test_s_turn_profile_derivative_chains(self):
         # weaving climb: nonconstant speed, elevation and azimuth rates;
         # every profile derivative channel must match a finite difference
@@ -159,7 +250,6 @@ class TestSetup:
                               analytic=AnalyticManeuver(x=x, y=y, z=z,
                                                         phi=phi))
         prof = setup(spec)
-        from invflight.numerics import fd_first_derivative
         half = 0.005
         pairs = [
             (prof.theta_w, prof.theta_w_dot, 1e-5),
@@ -317,8 +407,10 @@ class TestSolve:
         # the stage table was a list of float tuples and each station
         # went through 21 scalar stores, about 830 B with the packed
         # table and record block while the half-step profiles were kept
-        # beside the table, about 720 B now that they are its columns
-        # (at dt 1e-2: traced, a 1e-3 solve takes half a minute)
+        # beside the table, about 720 B once they were its columns but
+        # setup still held them all as temporaries, about 510 B now that
+        # setup writes each into its column as it is computed (at dt
+        # 1e-2: traced, a 1e-3 solve takes half a minute)
         spec = maneuver_spec("mirage-roll", 1e-2)
         tracemalloc.start()
         try:
@@ -326,7 +418,7 @@ class TestSolve:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak / spec.station_count < 780
+        assert peak / spec.station_count < 560
 
     def test_roll_maneuver_sanity(self, mirage):
         hist = solve(maneuver_spec("mirage-roll", 1e-3), mirage)
@@ -387,7 +479,6 @@ class TestSolve:
 
         from invflight import density, dynamics, kinematics
         from invflight.aero import body_force_coefficients, drag_coefficient
-        from invflight.numerics import fd_first_derivative
 
         dt = 1e-3
         hist = solve(maneuver_spec("mirage-roll", dt), mirage)
