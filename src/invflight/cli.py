@@ -193,19 +193,54 @@ def write_summary(hist: solver.SolutionHistory, path, unit: str,
     ])
 
 
+def _bad_history_line(path, width: int):
+    """Where and why the first data line of a history file is not
+    ``width`` finite comma-separated numbers, or None."""
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.split("#", 1)[0].strip()
+            if lineno == 1 or not line:
+                continue
+            parts = line.split(",")
+            if len(parts) != width:
+                return (f"line {lineno}: expected {width} columns, "
+                        f"got {len(parts)}")
+            try:
+                row = [float(p) for p in parts]
+            except ValueError:
+                return f"line {lineno}: non-numeric entry"
+            if not all(map(math.isfinite, row)):
+                return f"line {lineno}: non-finite entry"
+    return None
+
+
 def read_history(path, unit: str):
-    """Read a history file back into arrays (radians internally)."""
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
+    """Read a history file back into arrays (radians internally).
+
+    The file is read once into one ``(n, 21)`` float64 block. Each column
+    is a view of it, and the angle columns are converted in place, so the
+    replay holds its input once. A non-numeric, non-finite or ragged entry
+    raises ``ConfigFileError`` naming its line; the finiteness check runs
+    on the whole block at once, and the line is looked up only on failure.
+    """
+    names = HISTORY_HEADER.split(",")
+    try:
+        data = np.loadtxt(path, delimiter=",", skiprows=1)
+    except ValueError as err:
+        raise ConfigFileError(
+            f"{path}: {_bad_history_line(path, len(names)) or err}") from None
     if data.ndim == 1:
         data = data[None, :]
-    names = HISTORY_HEADER.split(",")
     if data.shape[1] != len(names):
         raise ConfigFileError(
             f"{path}: expected {len(names)} columns, found {data.shape[1]}")
-    cols = {n: data[:, i].copy() for i, n in enumerate(names)}
+    if not np.isfinite(data).all():
+        raise ConfigFileError(
+            f"{path}: {_bad_history_line(path, len(names))}")
+    cols = {n: data[:, i] for i, n in enumerate(names)}
     s = _angle_scale(unit)
     for n in _ANGLE_COLUMNS:
-        cols[n] = cols[n] / s
+        cols[n] /= s
     return cols
 
 

@@ -63,6 +63,9 @@ class ForwardHistory:
 
 # one station of the record block: the 12 states, then (V, alpha, beta)
 _STATION_RECORD = struct.Struct("15d")
+# two consecutive stations of the control table, each
+# (delta_l, delta_m, delta_n, thrust)
+_CONTROL_ROWS = struct.Struct("8d")
 
 
 def simulate(initial: FlightState, controls: ControlHistory,
@@ -74,6 +77,9 @@ def simulate(initial: FlightState, controls: ControlHistory,
     the control grid; controls are interpolated linearly between stations
     for the half-step stage evaluations. ``coeffs`` is the coefficient set
     flown (the round trip's is the inverse run's trim-shifted lift curve).
+    The four control columns, which may be strided views, are stacked once
+    into an ``(n, 4)`` float64 table, 32 bytes a station, and a stage
+    unpacks its rows i and i + 1 from the table's buffer into floats.
     Each station packs its state and ``airflow_from_body`` into one row.
     A kernel error or non-finite state raises ``SolverAbort`` at its step.
     """
@@ -94,10 +100,12 @@ def simulate(initial: FlightState, controls: ControlHistory,
     k_drag = coeffs.k_drag
     c_side_beta = coeffs.c_side_beta
 
-    dl = controls.delta_l.tolist()
-    dm = controls.delta_m.tolist()
-    dn = controls.delta_n.tolist()
-    th = controls.thrust.tolist()
+    # a memoryview: struct takes its buffer faster than an ndarray's
+    table = memoryview(np.stack((controls.delta_l, controls.delta_m,
+                                 controls.delta_n, controls.thrust),
+                                axis=1, dtype=float))
+    unpack_rows = _CONTROL_ROWS.unpack_from
+    row_bytes = _CONTROL_ROWS.size // 2
     inv_dt = 1.0 / dt
     last = n - 2
 
@@ -105,13 +113,15 @@ def simulate(initial: FlightState, controls: ControlHistory,
         (u, v_side, w, p, q, r, phi, theta, psi, xg, yg, zg) = y
         x = (t - t0) * inv_dt
         i = int(x)
-        if i > last:
+        if i > last:  # the last step's k4: rows i and i + 1 still exist
             i = last
         frac = x - i
-        delta_l = dl[i] + (dl[i + 1] - dl[i]) * frac
-        delta_m = dm[i] + (dm[i + 1] - dm[i]) * frac
-        delta_n = dn[i] + (dn[i + 1] - dn[i]) * frac
-        thrust = th[i] + (th[i + 1] - th[i]) * frac
+        dl0, dm0, dn0, th0, dl1, dm1, dn1, th1 = unpack_rows(table,
+                                                             row_bytes * i)
+        delta_l = dl0 + (dl1 - dl0) * frac
+        delta_m = dm0 + (dm1 - dm0) * frac
+        delta_n = dn0 + (dn1 - dn0) * frac
+        thrust = th0 + (th1 - th0) * frac
 
         v, alpha, beta = kinematics.airflow_from_body(u, v_side, w)
         rho = density(zg)

@@ -17,6 +17,7 @@ from invflight.cli import (
     read_history,
     write_history,
 )
+from invflight.errors import ConfigFileError
 
 CONFIG = str(Path(__file__).resolve().parents[1] / "configs" / "mirage3.cfg")
 
@@ -367,6 +368,25 @@ class TestForward:
             capsys.readouterr().err
 
 
+    def test_replay_peak_memory_per_station(self, tmp_path, capsys,
+                                            roll_1e3):
+        # traced peak of the whole replay: about 448 B a station when
+        # read_history copied every column out of the loaded block and
+        # simulate turned the controls into float lists, about 352 B with
+        # the columns as views of the block and a packed control table
+        path = tmp_path / "h.csv"
+        write_history(roll_1e3, path, "deg")
+        replay = ("forward", "--history", str(path), "--angles", "deg",
+                  "--out", str(tmp_path))
+        assert run(*replay) == EXIT_OK  # first-call imports and caches
+        tracemalloc.start()
+        try:
+            assert run(*replay) == EXIT_OK
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / roll_1e3.grid.count < 400
+
     def test_non_finite_tolerances_are_input_errors(self, tmp_path, capsys):
         # a history flown with half its rudder mismatches at the default
         # tolerances; NaN tolerances once made every comparison false and
@@ -392,6 +412,61 @@ class TestForward:
         err = capsys.readouterr().err
         assert "--pos-tol-frac nan is not finite" in err
         assert "--phi-tol-deg nan is not finite" in err
+
+
+@pytest.fixture(scope="module")
+def level_1e2(mirage):
+    return solver.solve(solver.maneuver_spec("level", 1e-2), mirage)
+
+
+class TestReadHistory:
+    @pytest.mark.parametrize("unit", ["deg", "rad"])
+    def test_columns_are_views_of_one_block(self, tmp_path, mirage, unit):
+        hist = solver.solve(solver.maneuver_spec("mirage-roll", 1e-2),
+                            mirage)
+        path = tmp_path / "h.csv"
+        write_history(hist, path, unit)
+        cols = read_history(path, unit)
+        names = HISTORY_HEADER.split(",")
+        shared = cols["t"].base
+        assert shared.shape == (hist.grid.count, len(names))
+        block = np.loadtxt(path, delimiter=",", skiprows=1)
+        scale = 180.0 / np.pi if unit == "deg" else 1.0
+        for j, name in enumerate(names):
+            assert np.shares_memory(cols[name], shared), name
+            want = block[:, j] / scale if name in cli._ANGLE_COLUMNS \
+                else block[:, j]
+            assert np.array_equal(cols[name], want), name
+
+    @pytest.mark.parametrize("column,entry,problem", [
+        ("y_g", "nan", "non-finite entry"),
+        ("t", "nan", "non-finite entry"),
+        ("T", "-inf", "non-finite entry"),
+        ("delta_n", "x", "non-numeric entry"),
+        ("flags", None, "expected 21 columns, got 20"),
+    ])
+    def test_bad_entry_is_input_error_naming_the_line(
+            self, tmp_path, capsys, level_1e2, column, entry, problem):
+        # a NaN in y_g or t once replayed to max_dev_y_m = nan, verdict
+        # match and exit 0; an 'x' or a 20-field row escaped as a
+        # ValueError traceback
+        path = tmp_path / "h.csv"
+        write_history(level_1e2, path, "rad")
+        lines = path.read_text().splitlines()
+        parts = lines[6].split(",")
+        idx = HISTORY_HEADER.split(",").index(column)
+        if entry is None:
+            del parts[idx]
+        else:
+            parts[idx] = entry
+        lines[6] = ",".join(parts)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ConfigFileError, match=f"line 7: {problem}"):
+            read_history(path, "rad")
+        assert run("forward", "--history", str(path), "--angles", "rad",
+                   "--out", str(tmp_path)) == EXIT_INPUT
+        assert f"line 7: {problem}" in capsys.readouterr().err
+        assert not (tmp_path / "forward.txt").exists()
 
 
 class TestConverge:

@@ -19,10 +19,10 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "invflight"
 EXEMPT = {
     "dynamics.sideslip_rate":
         "undifferentiated lateral balance, kept as a residual relation "
-        "for the run report (ROADMAP item 3)",
+        "(ROADMAP item 6(a)) for the run report (item 5)",
     "dynamics.aoa_rate":
         "undifferentiated normal balance, kept as a residual relation "
-        "for the run report (ROADMAP item 3)",
+        "(ROADMAP item 6(a)) for the run report (item 5)",
     "solver.SolutionHistory.state_at":
         "public round-trip API: the forward simulator's initial state "
         "from a solved station",

@@ -154,6 +154,47 @@ class TestTrimFlight:
         assert np.array_equal(run.beta, airflow[:, 2])
 
 
+RECORD_COLUMNS = ("u", "v_side", "w", "p", "q", "r", "phi", "theta", "psi",
+                  "xg", "yg", "zg", "v", "alpha", "beta")
+CONTROL_COLUMNS = ("delta_l", "delta_m", "delta_n", "thrust")
+
+
+class TestControlTable:
+    def _fly_both(self, hist, controls, mirage):
+        """Runs of ``controls`` and of contiguous copies of them."""
+        copies = replace(controls, **{
+            k: np.ascontiguousarray(getattr(controls, k))
+            for k in CONTROL_COLUMNS})
+        coeffs = replace(mirage.aero, c_lift0=hist.reference.c_lift0_equib)
+        start = (float(hist.xg[0]), float(hist.yg[0]), float(hist.zg[0]))
+        return [simulate(hist.state_at(0), c, mirage, position0=start,
+                         coeffs=coeffs) for c in (controls, copies)]
+
+    def test_strided_views_fly_as_contiguous_copies(self, mirage):
+        # the solved controls are strided views of the solve's record
+        # block, as the replayed ones are of the history file's block
+        hist = solve(maneuver_spec("mirage-roll", 1e-2), mirage)
+        controls = hist.controls()
+        assert not controls.delta_l.flags.c_contiguous
+        views, copies = self._fly_both(hist, controls, mirage)
+        for name in RECORD_COLUMNS:
+            assert np.array_equal(getattr(views, name),
+                                  getattr(copies, name)), name
+
+    def test_two_stations_read_the_last_row(self, mirage):
+        # the final k4 falls on the last station; the clamp makes it read
+        # rows 0 and 1, the whole table, and not past its end
+        hist = solve(maneuver_spec("mirage-roll", 1e-2), mirage)
+        controls = ControlHistory(
+            grid=UniformGrid(hist.grid.t0, hist.grid.dt, 2),
+            **{k: getattr(hist, k)[:2] for k in CONTROL_COLUMNS})
+        views, copies = self._fly_both(hist, controls, mirage)
+        assert views.u.shape == (2,)
+        for name in RECORD_COLUMNS:
+            assert np.array_equal(getattr(views, name),
+                                  getattr(copies, name)), name
+
+
 class TestRoundTrip:
     def test_roll_maneuver_round_trip(self, mirage):
         hist = solve(maneuver_spec("mirage-roll", 1e-3), mirage)
