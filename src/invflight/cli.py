@@ -43,6 +43,7 @@ from .model import (
     AircraftConfig,
     FlightState,
     load_config,
+    load_numeric_text,
     load_sampled_maneuver,
     mirage_iii,
     validate_config,
@@ -193,50 +194,17 @@ def write_summary(hist: solver.SolutionHistory, path, unit: str,
     ])
 
 
-def _bad_history_line(path, width: int):
-    """Where and why the first data line of a history file is not
-    ``width`` finite comma-separated numbers, or None."""
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if lineno == 1 or not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != width:
-                return (f"line {lineno}: expected {width} columns, "
-                        f"got {len(parts)}")
-            try:
-                row = [float(p) for p in parts]
-            except ValueError:
-                return f"line {lineno}: non-numeric entry"
-            if not all(map(math.isfinite, row)):
-                return f"line {lineno}: non-finite entry"
-    return None
-
-
 def read_history(path, unit: str):
     """Read a history file back into arrays (radians internally).
 
     The file is read once into one ``(n, 21)`` float64 block. Each column
     is a view of it, and the angle columns are converted in place, so the
-    replay holds its input once. A non-numeric, non-finite or ragged entry
-    raises ``ConfigFileError`` naming its line; the finiteness check runs
-    on the whole block at once, and the line is looked up only on failure.
+    replay holds its input once. A bad entry or no data row is an error.
     """
     names = HISTORY_HEADER.split(",")
-    try:
-        data = np.loadtxt(path, delimiter=",", skiprows=1)
-    except ValueError as err:
-        raise ConfigFileError(
-            f"{path}: {_bad_history_line(path, len(names)) or err}") from None
-    if data.ndim == 1:
-        data = data[None, :]
-    if data.shape[1] != len(names):
-        raise ConfigFileError(
-            f"{path}: expected {len(names)} columns, found {data.shape[1]}")
-    if not np.isfinite(data).all():
-        raise ConfigFileError(
-            f"{path}: {_bad_history_line(path, len(names))}")
+    data = load_numeric_text(path, path, len(names), ",", skip=1)
+    if not len(data):
+        raise ConfigFileError(f"{path}: no data rows after the header")
     cols = {n: data[:, i] for i, n in enumerate(names)}
     s = _angle_scale(unit)
     for n in _ANGLE_COLUMNS:

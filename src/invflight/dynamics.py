@@ -139,12 +139,15 @@ def controls_from_angular_accels(p_dot, q_dot, r_dot, p, q, r,
     moments, nondimensionalizes, strips the non-control contributions,
     and solves the elevator scalar and the aileron/rudder 2x2 system.
 
+    State arguments are scalars or equal-shape arrays (one entry per
+    station); a check fails if any entry fails it.
+
     Returns (delta_l, delta_m, delta_n) in radians.
     """
-    if v <= 0.0:
+    if np.any(np.less_equal(v, 0.0)):
         raise ZeroVelocity("control recovery needs V > 0")
     qsd = qbar * s_ref * chord_ref
-    if qsd <= 0.0:
+    if np.any(np.less_equal(qsd, 0.0)):
         raise SingularControlMatrix(
             "dynamic pressure * reference area * length must be positive")
 

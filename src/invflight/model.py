@@ -13,6 +13,7 @@ Axis conventions:
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, fields
 from typing import Callable
 
@@ -438,37 +439,63 @@ def load_config(path) -> AircraftConfig:
     return validate_config(AircraftConfig(aero=aero, **body))
 
 
-def load_sampled_maneuver(path) -> TrajectorySpec:
-    """Parse a sampled maneuver file: rows of 't x_g y_g z_g phi'.
-
-    Columns may be separated by commas or whitespace. The time column
-    must be uniformly spaced.
-    """
-    rows = []
+def _bad_line(path, width: int, delimiter, skip: int):
+    """Where and why the first data line after ``skip`` lines is not
+    ``width`` finite numbers (``delimiter`` None: commas or spaces)."""
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
-            if not line:
+            if lineno <= skip or not line:
                 continue
-            parts = line.replace(",", " ").split()
-            if len(parts) != 5:
-                raise ConfigFileError(
-                    f"{path}: line {lineno}: expected 5 columns "
-                    f"(t, x_g, y_g, z_g, phi), got {len(parts)}")
+            parts = (line.split(delimiter) if delimiter
+                     else line.replace(",", " ").split())
+            if len(parts) != width:
+                return (f"line {lineno}: expected {width} columns, "
+                        f"got {len(parts)}")
             try:
                 row = [float(p) for p in parts]
             except ValueError:
-                raise ConfigFileError(
-                    f"{path}: line {lineno}: non-numeric entry") from None
+                return f"line {lineno}: non-numeric entry"
             if not all(map(math.isfinite, row)):
-                raise ConfigFileError(
-                    f"{path}: line {lineno}: non-finite entry")
-            rows.append(row)
-    if len(rows) < _MIN_SAMPLE_ROWS:
+                return f"line {lineno}: non-finite entry"
+    return None
+
+
+def load_numeric_text(path, lines, width: int, delimiter=None, skip=0):
+    """The data rows of file ``path``, parsed by ``np.loadtxt`` from
+    ``lines`` (the path or its lines), as one ``(rows, width)`` block.
+
+    The checks run on the whole block; a bad entry raises
+    ``ConfigFileError`` naming its line, looked up only on failure.
+    """
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        try:
+            data = np.loadtxt(lines, delimiter=delimiter, skiprows=skip,
+                              ndmin=2)
+        except ValueError as err:
+            raise ConfigFileError(
+                f"{path}: {_bad_line(path, width, delimiter, skip) or err}"
+            ) from None
+    if len(data) and (data.shape[1] != width or not np.isfinite(data).all()):
         raise ConfigFileError(
-            f"{path}: only {len(rows)} sample rows; at least "
+            f"{path}: {_bad_line(path, width, delimiter, skip)}")
+    return data
+
+
+def load_sampled_maneuver(path) -> TrajectorySpec:
+    """Parse a sampled maneuver file: rows of 't x_g y_g z_g phi'.
+
+    Columns may be separated by commas or whitespace; the parser reads
+    the lines with commas as spaces. Times must be uniformly spaced.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        data = load_numeric_text(
+            path, (line.replace(",", " ") for line in fh), 5)
+    if len(data) < _MIN_SAMPLE_ROWS:
+        raise ConfigFileError(
+            f"{path}: only {len(data)} sample rows; at least "
             f"{_MIN_SAMPLE_ROWS} required")
-    data = np.asarray(rows, dtype=float)
     t = data[:, 0]
     steps = np.diff(t)
     dt = float(steps[0])

@@ -16,8 +16,9 @@ histories and all remaining flight variables:
                 balance, and the lift-curve zero moved to the trim point;
   solve         march station to station with fixed-step RK4 over the
                 twelve-variable vector (alpha, beta, theta, psi, T,
-                alpha', beta', theta', psi', p, q, r), then recover the
-                deflections at each new station from the moment balance.
+                alpha', beta', theta', psi', p, q, r); after the march,
+                recover the deflections of every station from the moment
+                balance, one block of stations per call.
 
 Every step of the march is explicit: each stage evaluates the
 differentiated force balances, then the attitude accelerations, then
@@ -435,10 +436,14 @@ def initialize(profiles: KinematicProfiles,
 #       16   45.87 deg                   45.78 deg
 CASCADE_SWEEPS = 4
 
-# one row of ``KinematicProfiles.stage_rows()`` and one station of the
-# solve's record block, read and written in place as packed doubles
+# one row of ``KinematicProfiles.stage_rows()``, and the marched head of
+# one station of the solve's record block, read and written in place as
+# packed doubles
 _STAGE_ROW = struct.Struct("14d")
-_STATION_RECORD = struct.Struct("19d")
+_STATION_RECORD = struct.Struct("16d")
+
+# stations per call of the deflection recovery after the march
+_STATION_BLOCK = 4096
 
 
 def _make_rate_function(rows, t0, half_dt, cfg, coeffs, lag):
@@ -601,9 +606,10 @@ class SolutionHistory:
     angles are copied from the setup profiles, never integrated, so they
     reproduce the prescription exactly. ``alpha`` is the procedure value
     (departure from trim); ``alpha_actual`` applies the reporting shift.
-    The 19 marched columns, ``alpha`` to ``r_dot``, are strided views of
-    one ``(n, 19)`` record block that ``solve`` filled a station at a
-    time, not separate arrays.
+    The 19 solved columns, ``alpha`` to ``r_dot``, are strided views of
+    one ``(n, 19)`` record block, not separate arrays: ``solve`` filled
+    the marched columns a station at a time and the deflections a block
+    of stations at a time.
     """
 
     grid: UniformGrid
@@ -662,31 +668,31 @@ def solve(spec: TrajectorySpec, cfg: AircraftConfig) -> SolutionHistory:
 
     Marches the twelve-variable state with fixed-step RK4; after each
     step the station's angular accelerations are taken as the weighted
-    stage average, the auxiliary rates are re-evaluated algebraically at
-    the new station, and the deflections are recovered from the moment
-    balance. The largest gap between the averaged angular accelerations
-    and their direct re-evaluation is recorded as ``rate_gap``. Each
-    re-evaluation serves as the next step's k1.
+    stage average, and the auxiliary rates are re-evaluated algebraically
+    at the new station as the next step's k1. The largest gap between
+    the averaged and the re-evaluated angular accelerations is recorded
+    as ``rate_gap``. The march never reads the deflections, so after it
+    they are recovered from the moment balance a block of stations a call.
     """
     profiles = setup(spec)
     init = initialize(profiles, cfg)
     inertia = dynamics.inertia_system(cfg)
     coeffs = init.coeffs
-    n = profiles.stations.count
-    dt = profiles.stations.dt
-    t0 = profiles.stations.t0
+    grid = profiles.stations
+    n, dt, t0 = grid.count, grid.dt, grid.t0
 
     rows = profiles.stage_rows()
     lag = [0.0, 0.0, 0.0]
     rate_fn = _make_rate_function(rows, t0, 0.5 * dt, cfg, coeffs, lag)
 
-    # a station's record: state, deflections, thrust rate, (p', q', r')
+    # a station's record: state, thrust rate, (p', q', r'), deflections;
+    # the march packs the first 16, the recovery pass fills the last 3
     names = ("alpha", "beta", "theta", "psi", "thrust",
              "alpha_dot", "beta_dot", "theta_dot", "psi_dot",
-             "p", "q", "r", "delta_l", "delta_m", "delta_n", "thrust_dot",
-             "p_dot", "q_dot", "r_dot")
+             "p", "q", "r", "thrust_dot", "p_dot", "q_dot", "r_dot",
+             "delta_l", "delta_m", "delta_n")
     block = np.empty((n, len(names)))
-    pack_station = _STATION_RECORD.pack_into
+    pack_station, stride = _STATION_RECORD.pack_into, block.strides[0]
 
     s0 = init.state
     y = (0.0, 0.0, s0.theta, s0.psi, s0.thrust, 0.0, 0.0,
@@ -695,8 +701,7 @@ def solve(spec: TrajectorySpec, cfg: AircraftConfig) -> SolutionHistory:
     # station 0: auxiliary thrust rate evaluated at the initial state,
     # seeded with zero angular accelerations; it is also step 0's k1
     rates_new = rate_fn(t0, y)
-    pack_station(block, 0, *y, s0.delta_l, s0.delta_m, s0.delta_n,
-                 rates_new[4], 0.0, 0.0, 0.0)
+    pack_station(block, 0, *y, rates_new[4], 0.0, 0.0, 0.0)
 
     max_gap = 0.0
     for i in range(n - 1):
@@ -721,37 +726,42 @@ def solve(spec: TrajectorySpec, cfg: AircraftConfig) -> SolutionHistory:
                       abs(rates_new[11] - r_avg))
             if gap > max_gap:
                 max_gap = gap
-
-            # station i + 1 is half-step row 2(i + 1): V first, rho 13th
-            row = _STAGE_ROW.unpack_from(rows, 2 * (i + 1) * _STAGE_ROW.size)
-            v_i, rho_i = row[0], row[12]
-            qbar_i = 0.5 * rho_i * v_i * v_i
-            controls = dynamics.controls_from_angular_accels(
-                p_avg, q_avg, r_avg, y_new[9], y_new[10], y_new[11],
-                y_new[0], y_new[1], v_i, qbar_i, inertia, coeffs,
-                cfg.wing_area, cfg.span_ref, cfg.chord_ref)
         except FlightMechanicsError as err:
             raise SolverAbort("marching loop", i + 1, err) from err
 
-        pack_station(block, _STATION_RECORD.size * (i + 1), *y_new, *controls,
-                     rates_new[4], p_avg, q_avg, r_avg)
+        pack_station(block, stride * (i + 1), *y_new, rates_new[4],
+                     p_avg, q_avg, r_avg)
         y = y_new
 
+    # keep what the history needs, then drop the stage table (the rate
+    # function holds it too), so the recovery adds nothing to the peak
+    v, phi, theta_w, psi_w = (profiles.station(a).copy() for a in
+                              (profiles.v, profiles.phi, profiles.theta_w,
+                               profiles.psi_w))
+    qbar = 0.5 * profiles.station(profiles.rho) * v * v
+    ground = {k: getattr(profiles, k)
+              for k in ("xg", "yg", "zg", "xg_dot", "yg_dot", "zg_dot")}
+    del profiles, rows, rate_fn
+
     out = dict(zip(names, block.T))
+    inputs = [out[k] for k in ("p_dot", "q_dot", "r_dot", "p", "q", "r",
+                               "alpha", "beta")] + [v, qbar]
+    # setup (V > 0) and initialize's call (the aircraft data) have made
+    # every check the recovery makes, so it cannot fail here
+    for lo in range(0, n, _STATION_BLOCK):
+        sl = slice(lo, lo + _STATION_BLOCK)
+        out["delta_l"][sl], out["delta_m"][sl], out["delta_n"][sl] = \
+            dynamics.controls_from_angular_accels(
+                *(a[sl] for a in inputs), inertia, coeffs, cfg.wing_area,
+                cfg.span_ref, cfg.chord_ref)
+
     return SolutionHistory(
-        grid=profiles.stations,
-        maneuver=spec.name,
-        reference=init.reference,
-        t=profiles.stations.times(),
-        xg=profiles.xg, yg=profiles.yg, zg=profiles.zg, xg_dot=profiles.xg_dot,
-        yg_dot=profiles.yg_dot, zg_dot=profiles.zg_dot,
-        v=profiles.station(profiles.v).copy(),
-        phi=profiles.station(profiles.phi).copy(),
-        theta_w=profiles.station(profiles.theta_w).copy(),
-        psi_w=profiles.station(profiles.psi_w).copy(),
+        grid=grid, maneuver=spec.name, reference=init.reference,
+        t=grid.times(), v=v, phi=phi, theta_w=theta_w, psi_w=psi_w,
         stall=np.abs(out["alpha"] + init.reference.alpha_shift)
         > aero.STALL_ALPHA,
-        reverse_thrust=out["thrust"] < 0.0, rate_gap=max_gap, **out)
+        reverse_thrust=out["thrust"] < 0.0, rate_gap=max_gap,
+        **ground, **out)
 
 
 # ----------------------------------------------------------------------

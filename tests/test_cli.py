@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -466,6 +467,23 @@ class TestReadHistory:
         assert run("forward", "--history", str(path), "--angles", "rad",
                    "--out", str(tmp_path)) == EXIT_INPUT
         assert f"line 7: {problem}" in capsys.readouterr().err
+        assert not (tmp_path / "forward.txt").exists()
+
+    def test_header_without_data_rows_is_input_error(self, tmp_path,
+                                                     capsys):
+        # numpy warned "input contained no data" on stderr, and the
+        # message then counted 0 columns in a 21-column header
+        path = tmp_path / "h.csv"
+        path.write_text(HISTORY_HEADER + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigFileError, match="no data rows"):
+                read_history(path, "rad")
+            assert run("forward", "--history", str(path), "--angles", "rad",
+                       "--out", str(tmp_path)) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "no data rows" in err
+        assert "Warning" not in err
         assert not (tmp_path / "forward.txt").exists()
 
 

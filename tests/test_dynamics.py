@@ -2,9 +2,10 @@ import math
 import random
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from invflight import SingularInertia
+from invflight import SingularControlMatrix, SingularInertia, ZeroVelocity
 from invflight.aero import body_force_coefficients, drag_coefficient
 from invflight.dynamics import (
     angular_accels_forward,
@@ -320,6 +321,49 @@ class TestControlRecovery:
                                           ml, mm, mn, inertia)
             for got, want in zip(back, accels):
                 assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
+
+    def _stations(self, rng, n=200):
+        """Random station arrays in ``controls_from_angular_accels``
+        order, with zero rates and signed zeros among them."""
+        cols = [rng.uniform(-5, 5, n) for _ in range(3)]
+        cols += [rng.uniform(-3, 3, n) for _ in range(3)]
+        cols += [rng.uniform(-0.3, 0.4, n), rng.uniform(-0.4, 0.4, n)]
+        v = rng.uniform(80.0, 300.0, n)
+        cols += [v, 0.5 * rng.uniform(0.3, 1.2, n) * v * v]
+        for col in cols[:8]:
+            col[:40] = 0.0
+            col[40:60] = -0.0
+        return cols
+
+    def test_array_form_equals_scalar_calls(self, mirage):
+        # the solver recovers a block of stations per call; each entry
+        # must be the scalar call's result to the bit
+        inertia = inertia_system(mirage)
+        refs = (mirage.wing_area, mirage.span_ref, 3.5)
+        cols = self._stations(np.random.default_rng(12))
+        got = controls_from_angular_accels(*cols, inertia, mirage.aero,
+                                           *refs)
+        want = np.array([controls_from_angular_accels(
+            *(float(c[i]) for c in cols), inertia, mirage.aero, *refs)
+            for i in range(len(cols[0]))]).T
+        for g, w in zip(got, want):
+            assert g.shape == w.shape
+            assert np.array_equal(g, w)
+            assert np.array_equal(np.signbit(g), np.signbit(w))
+
+    @pytest.mark.parametrize("column,value,error", [
+        (8, 0.0, ZeroVelocity), (8, -1.0, ZeroVelocity),
+        (9, 0.0, SingularControlMatrix), (9, -1.0, SingularControlMatrix),
+    ])
+    def test_array_checks_see_every_entry(self, mirage, column, value,
+                                          error):
+        inertia = inertia_system(mirage)
+        cols = self._stations(np.random.default_rng(13))
+        cols[column][137] = value
+        with pytest.raises(error):
+            controls_from_angular_accels(
+                *cols, inertia, mirage.aero, mirage.wing_area,
+                mirage.span_ref, mirage.chord_ref)
 
 
 class TestCruiseTrim:

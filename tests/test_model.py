@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -171,3 +172,39 @@ class TestSampledManeuverFile:
         self._write(path, ["0 0 0 -5000 0", "0.1 1 0 -5000 0"])
         with pytest.raises(ConfigFileError, match="at least 5"):
             load_sampled_maneuver(path)
+
+    @pytest.mark.parametrize("layout", ["spaces", "commas", "mixed",
+                                        "comments"])
+    def test_separators_give_the_same_samples(self, tmp_path, layout):
+        values = [[0.1 * i, 150.0 * 0.1 * i, 1.0 / 3.0, -5000.0 - i,
+                   0.01 * i] for i in range(11)]
+        rows = ["%r %r\t%r  %r %r" % tuple(v) for v in values]
+        if layout == "commas":
+            rows = ["%r,%r,%r,%r,%r" % tuple(v) for v in values]
+        elif layout == "mixed":
+            rows = ["%r, %r ,%r\t%r,  %r" % tuple(v) for v in values]
+        elif layout == "comments":
+            rows = (["# t x_g y_g z_g phi", ""]
+                    + [r + "  # station" for r in rows])
+        self._write(tmp_path / "man.dat", rows)
+        s = load_sampled_maneuver(tmp_path / "man.dat").samples
+        got = np.column_stack((s.t, s.x, s.y, s.z, s.phi))
+        assert np.array_equal(got, np.array(values))
+
+    def test_non_numeric_entry_cites_line(self, tmp_path):
+        path = tmp_path / "man.dat"
+        rows = ["%g,%g,0,-5000,0" % (0.1 * i, 15.0 * i) for i in range(6)]
+        rows[4] = "0.4,60,zero,-5000,0"
+        self._write(path, ["# header"] + rows)
+        with pytest.raises(ConfigFileError, match="line 6: non-numeric"):
+            load_sampled_maneuver(path)
+
+    @pytest.mark.parametrize("text", ["", "# t x_g y_g z_g phi\n"])
+    def test_empty_file_counts_zero_rows_without_a_warning(self, tmp_path,
+                                                           text):
+        path = tmp_path / "man.dat"
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigFileError, match="only 0 sample rows"):
+                load_sampled_maneuver(path)

@@ -408,9 +408,11 @@ class TestSolve:
         # went through 21 scalar stores, about 830 B with the packed
         # table and record block while the half-step profiles were kept
         # beside the table, about 720 B once they were its columns but
-        # setup still held them all as temporaries, about 510 B now that
-        # setup writes each into its column as it is computed (at dt
-        # 1e-2: traced, a 1e-3 solve takes half a minute)
+        # setup still held them all as temporaries, about 510 B once
+        # setup wrote each into its column as it is computed, about 490 B
+        # now that the deflections are recovered after the march, with
+        # the stage table gone (at dt 1e-2: traced, a 1e-3 solve takes
+        # half a minute)
         spec = maneuver_spec("mirage-roll", 1e-2)
         tracemalloc.start()
         try:
@@ -470,6 +472,25 @@ class TestSolve:
                 chord_ref=cfg.chord_ref)
             got = (hist.delta_l[i], hist.delta_m[i], hist.delta_n[i])
             assert got == want, i
+
+    def test_deflections_are_recovered_after_the_march(self, mirage,
+                                                       monkeypatch):
+        # the march never reads the deflections back: one recovery call
+        # from initialize, then one per block of stations, not one per
+        # station (601 here)
+        from invflight import dynamics
+
+        real = dynamics.controls_from_angular_accels
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(dynamics, "controls_from_angular_accels",
+                            counting)
+        solve(maneuver_spec("mirage-roll", 1e-2), mirage)
+        assert len(calls) == 2
 
     def test_solution_satisfies_governing_relations_pointwise(self, mirage):
         # residual check independent of the marching scheme: the solved
