@@ -11,6 +11,7 @@ from .aero import EquilibriumReference
 from .atmosphere import density, density_gradient
 from .errors import (
     AltitudeOutOfRange,
+    BeyondStall,
     ConfigError,
     ConfigFileError,
     DegenerateAxialProjection,
@@ -47,7 +48,6 @@ from .solver import (
     MANEUVERS,
     ConvergenceReport,
     KinematicProfiles,
-    ManeuverLibraryEntry,
     SolutionHistory,
     convergence_study,
     initialize,

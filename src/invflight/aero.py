@@ -10,9 +10,10 @@ that the solved angle of attack measures the departure from equilibrium.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .model import AeroCoefficients
+from .errors import BeyondStall, ZeroVelocity
+from .model import ISA, AeroCoefficients, AircraftConfig
 
 __all__ = [
     "STALL_ALPHA",
@@ -34,14 +35,19 @@ STALL_ALPHA = math.radians(15.0)
 class EquilibriumReference:
     """Lift-curve reference shifted to the trim (lift = weight) point.
 
-    alpha_shift converts the solved (procedure) angle of attack into the
-    conventional one measured from the zero-lift axis origin:
+    ``coeffs`` is the aircraft coefficient set with the lift-curve zero
+    moved there (``c_lift0 = c_lift0_equib``), so that an angle of attack
+    measured with it is the departure from equilibrium. alpha_shift
+    converts that (procedure) angle of attack into the conventional one
+    measured from the zero-lift axis origin:
     alpha_actual = alpha_procedure + alpha_equib - |alpha_zero_lift|.
     """
 
+    qbar: float            # dynamic pressure of the trim point, Pa
     c_lift0_equib: float   # lift coefficient carrying the weight at trim
     alpha_equib: float     # trim angle of attack, rad
     alpha_zero_lift: float  # angle of zero lift of the actual airfoil, rad
+    coeffs: AeroCoefficients  # the aircraft set, c_lift0 = c_lift0_equib
 
     @property
     def alpha_shift(self) -> float:
@@ -137,17 +143,28 @@ def dimensionalize(qbar, s_ref, chord_ref, body_coeffs, moment_coeffs):
             c_roll * qsd, c_pitch * qsd, c_yaw * qsd)
 
 
-def equilibrium_reference(mass, g, qbar, s_ref, c_lift_alpha,
-                          c_lift0_actual) -> EquilibriumReference:
-    """Shift the lift-curve zero to the trim point.
+def equilibrium_reference(cfg: AircraftConfig, rho: float,
+                          v: float) -> EquilibriumReference:
+    """The 1-g trim point of the aircraft at air density ``rho`` and
+    speed ``v``, and its lift curve shifted there.
 
-    The reference lift coefficient carries the weight at the given
-    dynamic pressure; the trim angle of attack follows from the lift
-    slope.
+    The reference lift coefficient carries the weight at the dynamic
+    pressure; the trim angle of attack follows from the lift slope. A
+    dynamic pressure of zero (``ZeroVelocity``) and a trim angle past
+    ``STALL_ALPHA``, where the linear lift curve ends (``BeyondStall``),
+    are refused.
     """
-    c_lift0_equib = mass * g / (qbar * s_ref)
+    aero = cfg.aero
+    qbar = dynamic_pressure(rho, v)
+    if not qbar > 0.0:
+        raise ZeroVelocity(f"dynamic pressure {qbar} Pa at {v} m/s "
+                           "carries no weight")
+    c_lift0_equib = cfg.mass * ISA.g / (qbar * cfg.wing_area)
+    alpha_equib = c_lift0_equib / aero.c_lift_alpha
+    if abs(alpha_equib) > STALL_ALPHA:
+        raise BeyondStall("trim alpha %.4g deg is beyond stall"
+                          % math.degrees(alpha_equib))
     return EquilibriumReference(
-        c_lift0_equib=c_lift0_equib,
-        alpha_equib=c_lift0_equib / c_lift_alpha,
-        alpha_zero_lift=-c_lift0_actual / c_lift_alpha,
-    )
+        qbar=qbar, c_lift0_equib=c_lift0_equib, alpha_equib=alpha_equib,
+        alpha_zero_lift=-aero.c_lift0 / aero.c_lift_alpha,
+        coeffs=replace(aero, c_lift0=c_lift0_equib))

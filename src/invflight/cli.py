@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -29,9 +28,9 @@ import numpy as np
 from . import aero, solver
 from . import forward as fwd
 from .atmosphere import density
-from .dynamics import cruise_trim
 from .errors import (
     AltitudeOutOfRange,
+    BeyondStall,
     ConfigError,
     ConfigFileError,
     FlightMechanicsError,
@@ -39,7 +38,6 @@ from .errors import (
     ZeroVelocity,
 )
 from .model import (
-    ISA,
     AircraftConfig,
     FlightState,
     load_config,
@@ -148,17 +146,14 @@ _HISTORY_ROW = (",".join(["%.9g"] * (len(HISTORY_HEADER.split(",")) - 1))
                 + ",%d\n")
 
 
-# stations formatted per write: the writer's memory is one block's worth
-_HISTORY_BLOCK = 4096
-
-
 def write_history(hist: solver.SolutionHistory, path, unit: str):
     names = HISTORY_HEADER.split(",")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(HISTORY_HEADER + "\n")
-        for start in range(0, hist.grid.count, _HISTORY_BLOCK):
-            cols = _history_columns(hist, unit,
-                                    slice(start, start + _HISTORY_BLOCK))
+        # the writer's memory is one block of formatted stations
+        block = solver.STATION_BLOCK
+        for start in range(0, hist.grid.count, block):
+            cols = _history_columns(hist, unit, slice(start, start + block))
             # ``+ 0.0`` turns -0.0 into 0.0, as ``_fmt`` does
             rows = zip(*[(cols[n] + 0.0).tolist() for n in names[:-1]],
                        cols["flags"].tolist())
@@ -261,13 +256,11 @@ def _refly(cols, cfg: AircraftConfig, args, path) -> int:
     position0 = tuple(float(cols[k][0]) for k in ("x_g", "y_g", "z_g"))
     # the trim-referenced lift curve, as the inverse run built it at its
     # first station
-    qbar0 = aero.dynamic_pressure(density(position0[2]), initial.v)
-    ref = aero.equilibrium_reference(cfg.mass, ISA.g, qbar0, cfg.wing_area,
-                                     cfg.aero.c_lift_alpha, cfg.aero.c_lift0)
+    ref = _refused(aero.equilibrium_reference, cfg, density(position0[2]),
+                   initial.v)
     try:
         run = fwd.simulate(initial, controls, cfg, position0=position0,
-                           coeffs=replace(cfg.aero,
-                                          c_lift0=ref.c_lift0_equib))
+                           coeffs=ref.coeffs)
     except FlightMechanicsError as err:
         # the controls drove the simulation out of its validity range
         _write_report(path, [("verdict", "mismatch"),
@@ -279,24 +272,27 @@ def _refly(cols, cfg: AircraftConfig, args, path) -> int:
     return EXIT_MISMATCH if mismatch else EXIT_OK
 
 
-# trajectories that ``solver.setup`` refuses before the march starts:
-# input errors, each message naming the first station at fault
-_SETUP_REFUSALS = {AltitudeOutOfRange: "altitude_out_of_range",
-                   ZeroVelocity: "zero_velocity",
-                   VerticalFlight: "vertical_flight"}
+# flights refused before any integration starts (by ``solver.setup``,
+# or by the 1-g trim at the start): input errors, and the solver's
+# messages name the first station at fault
+_REFUSALS = {AltitudeOutOfRange: "altitude_out_of_range",
+             ZeroVelocity: "zero_velocity",
+             VerticalFlight: "vertical_flight",
+             BeyondStall: "beyond_stall"}
 
 
-def _solve(spec, cfg: AircraftConfig) -> solver.SolutionHistory:
+def _refused(fn, *args):
+    """``fn(*args)``, with the refusals above raised as input errors."""
     try:
-        return solver.solve(spec, cfg)
-    except tuple(_SETUP_REFUSALS) as err:
-        raise ConfigError([(_SETUP_REFUSALS[type(err)], str(err))]) from None
+        return fn(*args)
+    except tuple(_REFUSALS) as err:
+        raise ConfigError([(_REFUSALS[type(err)], str(err))]) from None
 
 
 def run_inverse(args) -> int:
     cfg = _load_aircraft(args)
     spec = _resolve_spec(args, args.dt)
-    hist = _solve(spec, cfg)
+    hist = _refused(solver.solve, spec, cfg)
     out = _out_dir(args)
     write_history(hist, out / "history.csv", args.angles)
     write_summary(hist, out / "summary.txt", args.angles, spec.dt)
@@ -317,7 +313,7 @@ def run_forward(args) -> int:
 
 def run_roundtrip(args) -> int:
     cfg = _load_aircraft(args)
-    hist = _solve(_resolve_spec(args, args.dt), cfg)
+    hist = _refused(solver.solve, _resolve_spec(args, args.dt), cfg)
     out = _out_dir(args)
     write_history(hist, out / "history.csv", args.angles)
     return _refly(_history_columns(hist, "rad"), cfg, args,
@@ -329,25 +325,19 @@ def run_trim(args) -> int:
     if args.speed <= 0:
         raise ConfigError([("non_positive_speed",
                             f"speed {args.speed} must be > 0")])
-    try:
-        rho = density(-args.altitude)
-    except AltitudeOutOfRange as err:
-        raise ConfigError([("altitude_out_of_range", str(err))]) from None
-    thrust, c_lift, c_drag = cruise_trim(cfg.mass, ISA.g, rho, args.speed,
-                                         cfg.wing_area, cfg.aero)
-    alpha_equib = c_lift / cfg.aero.c_lift_alpha
-    if abs(alpha_equib) > aero.STALL_ALPHA:  # the linear lift curve ends
-        raise ConfigError([("beyond_stall", "trim alpha %.4g deg is beyond "
-                            "stall" % math.degrees(alpha_equib))])
+    rho = _refused(density, -args.altitude)
+    ref = _refused(aero.equilibrium_reference, cfg, rho, args.speed)
+    # level flight: thrust balances the drag of the trim lift
+    c_drag = aero.drag_coefficient(ref.c_lift0_equib, ref.coeffs)
     print(_key_values([
         ("altitude_m", _fmt(args.altitude)),
         ("speed_m_s", _fmt(args.speed)),
         ("rho_kg_m3", _fmt(rho)),
-        ("qbar_pa", _fmt(0.5 * rho * args.speed ** 2)),
-        ("c_lift", _fmt(c_lift)),
+        ("qbar_pa", _fmt(ref.qbar)),
+        ("c_lift", _fmt(ref.c_lift0_equib)),
         ("c_drag", _fmt(c_drag)),
-        ("alpha_equib_deg", _fmt(math.degrees(alpha_equib))),
-        ("thrust_n", _fmt(thrust)),
+        ("alpha_equib_deg", _fmt(math.degrees(ref.alpha_equib))),
+        ("thrust_n", _fmt(ref.qbar * cfg.wing_area * c_drag)),
     ]), end="")
     return EXIT_OK
 

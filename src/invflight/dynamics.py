@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .aero import drag_coefficient
 from .errors import (
     DegenerateAxialProjection,
     SideslipSingularity,
@@ -43,7 +42,6 @@ __all__ = [
     "sideslip_accel",
     "aoa_rate",
     "aoa_accel",
-    "cruise_trim",
 ]
 
 _AXIAL_TOL = 1e-12
@@ -356,15 +354,3 @@ def aoa_accel(mass, g, s_ref, qbar, qbar_dot, v, v_dot,
     return (rhs_dot - mass * v_dot * alpha_dot * cb
             + mass * v * alpha_dot * sb * beta_dot) / (mass * v * cb)
 
-
-def cruise_trim(mass, g, rho, v, s_ref, coeffs: AeroCoefficients):
-    """Steady level flight: lift carries the weight, thrust equals drag.
-
-    Returns (thrust, c_lift, c_drag).
-    """
-    qs = 0.5 * rho * v * v * s_ref
-    if qs <= 0.0:
-        raise ZeroVelocity("cruise trim needs rho, V, S > 0")
-    c_lift = mass * g / qs
-    c_drag = drag_coefficient(c_lift, coeffs)
-    return qs * c_drag, c_lift, c_drag

@@ -37,6 +37,11 @@ class ZeroVelocity(FlightMechanicsError):
     """Velocity magnitude is zero; path angles are undefined."""
 
 
+class BeyondStall(FlightMechanicsError):
+    """The 1-g trim angle of attack lies past the end of the linear lift
+    curve."""
+
+
 class VerticalFlight(FlightMechanicsError):
     """Flight path is (numerically) vertical; heading of the velocity
     vector is undefined."""

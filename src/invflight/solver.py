@@ -10,10 +10,10 @@ histories and all remaining flight variables:
                 available, finite differences otherwise; speed
                 derivatives always by finite differences), each written
                 into its column of the stage table as it is computed;
-  initialize    equilibrium start: zero airflow angles, pitch and heading
-                equal to the path angles, thrust from the axial balance, body
-                rates from the Euler rates, deflections from the moment
-                balance, and the lift-curve zero moved to the trim point;
+  initialize    equilibrium start: the lift-curve zero moved to the 1-g
+                trim, zero airflow angles, pitch and heading equal to the
+                path angles, thrust from the axial balance, body rates from
+                the Euler rates, as the march's twelve-value start;
   solve         march station to station with fixed-step RK4 over the
                 twelve-variable vector (alpha, beta, theta, psi, T,
                 alpha', beta', theta', psi', p, q, r); after the march,
@@ -46,6 +46,7 @@ from . import aero, dynamics, kinematics
 from .atmosphere import (TROPOPAUSE_ALTITUDE, _raise_out_of_range, density,
                          density_gradient)
 from .errors import (
+    BeyondStall,
     ConfigError,
     FlightMechanicsError,
     NonFiniteState,
@@ -56,7 +57,6 @@ from .errors import (
 from .forward import ControlHistory
 from .model import (
     ISA,
-    AeroCoefficients,
     AircraftConfig,
     AnalyticChannel,
     AnalyticManeuver,
@@ -73,7 +73,6 @@ from .numerics import (
 )
 
 __all__ = [
-    "ManeuverLibraryEntry",
     "MANEUVERS",
     "maneuver_spec",
     "KinematicProfiles",
@@ -92,19 +91,6 @@ _VERTICAL_TOL = 1e-9
 # ----------------------------------------------------------------------
 # Built-in maneuver library
 # ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ManeuverLibraryEntry:
-    """A named maneuver with closed-form constraints and derivatives."""
-
-    name: str
-    duration: float
-    maneuver: AnalyticManeuver
-
-    def spec(self, dt: float) -> TrajectorySpec:
-        return TrajectorySpec(duration=self.duration, dt=dt,
-                              analytic=self.maneuver, name=self.name)
 
 
 def _linear(rate, offset=0.0):
@@ -139,38 +125,27 @@ def _roll_bank_channel():
     return AnalyticChannel(f=f, d1=d1, d2=d2)
 
 
+# every built-in maneuver flies for this long, s
+_MANEUVER_DURATION = 6.0
+
+# the straight, level 200 m/s run at 10 km that both maneuvers fly
+_STRAIGHT_RUN = dict(x=_linear(200.0), y=_linear(0.0),
+                     z=_linear(0.0, -10000.0))
+
 MANEUVERS = {
-    "mirage-roll": ManeuverLibraryEntry(
-        name="mirage-roll",
-        duration=6.0,
-        maneuver=AnalyticManeuver(
-            x=_linear(200.0),
-            y=_linear(0.0),
-            z=_linear(0.0, -10000.0),
-            phi=_roll_bank_channel(),
-        ),
-    ),
-    "level": ManeuverLibraryEntry(
-        name="level",
-        duration=6.0,
-        maneuver=AnalyticManeuver(
-            x=_linear(200.0),
-            y=_linear(0.0),
-            z=_linear(0.0, -10000.0),
-            phi=_linear(0.0),
-        ),
-    ),
+    "mirage-roll": AnalyticManeuver(**_STRAIGHT_RUN,
+                                    phi=_roll_bank_channel()),
+    "level": AnalyticManeuver(**_STRAIGHT_RUN, phi=_linear(0.0)),
 }
 
 
 def maneuver_spec(name: str, dt: float) -> TrajectorySpec:
-    try:
-        entry = MANEUVERS[name]
-    except KeyError:
+    if name not in MANEUVERS:
         raise ConfigError([("unknown_maneuver",
                             f"{name!r}; known: {', '.join(sorted(MANEUVERS))}")
-                           ]) from None
-    return entry.spec(dt)
+                           ])
+    return TrajectorySpec(duration=_MANEUVER_DURATION, dt=dt,
+                          analytic=MANEUVERS[name], name=name)
 
 
 # ----------------------------------------------------------------------
@@ -345,50 +320,44 @@ def setup(spec: TrajectorySpec) -> KinematicProfiles:
 
 @dataclass(frozen=True)
 class InitialConditions:
-    """Equilibrium start of the march.
+    """Equilibrium start of the march: ``y0``, the state at the first
+    station in march order (alpha, beta, theta, psi, T, alpha', beta',
+    theta', psi', p, q, r), and the 1-g trim ``reference`` there, whose
+    shifted ``coeffs`` the march flies."""
 
-    ``coeffs`` is the aircraft coefficient set with the lift-curve zero
-    moved to the trim point; the solved angle of attack then measures
-    the departure from equilibrium.
-    """
-
-    state: FlightState
+    y0: tuple
     reference: aero.EquilibriumReference
-    coeffs: AeroCoefficients  # copy of the aircraft set, shifted c_lift0
 
 
 def initialize(profiles: KinematicProfiles,
                cfg: AircraftConfig) -> InitialConditions:
     """Equilibrium initial state at the first station.
 
-    Airflow angles and their rates start at zero, so pitch and heading
-    equal the path angles; thrust closes the axial balance; body rates
-    follow from the Euler rates; the deflections balance the moments
-    with zero angular acceleration.
+    The lift curve is shifted to the 1-g trim at the station's density
+    and speed, which refuses a start past stall or with no dynamic
+    pressure. Airflow angles and their rates start at zero, so pitch and
+    heading equal the path angles; thrust closes the axial balance; body
+    rates follow from the Euler rates. The recovery pass after the march
+    writes the deflections.
     """
     validate_config(cfg)
-    v0 = float(profiles.v[0])
-    v_dot0 = float(profiles.v_dot[0])
-    rho0 = float(profiles.rho[0])
-    phi0 = float(profiles.phi[0])
-    phi_dot0 = float(profiles.phi_dot[0])
-    theta_w0 = float(profiles.theta_w[0])
-    psi_w0 = float(profiles.psi_w[0])
+    try:
+        ref = aero.equilibrium_reference(cfg, float(profiles.rho[0]),
+                                         float(profiles.v[0]))
+    except (ZeroVelocity, BeyondStall) as err:
+        raise type(err)(f"{err} at station 0") from None
+    phi0, phi_dot0 = float(profiles.phi[0]), float(profiles.phi_dot[0])
+    theta0 = theta_w0 = float(profiles.theta_w[0])
+    psi0 = psi_w0 = float(profiles.psi_w[0])
 
-    qbar0 = aero.dynamic_pressure(rho0, v0)
-    ref = aero.equilibrium_reference(cfg.mass, ISA.g, qbar0, cfg.wing_area,
-                                     cfg.aero.c_lift_alpha, cfg.aero.c_lift0)
-    coeffs = replace(cfg.aero, c_lift0=ref.c_lift0_equib)
-
-    theta0, psi0 = theta_w0, psi_w0
-    c_lift = coeffs.c_lift0
-    c_drag = aero.drag_coefficient(c_lift, coeffs)
+    c_lift = ref.c_lift0_equib
+    c_drag = aero.drag_coefficient(c_lift, ref.coeffs)
     c_x, c_y, c_z = aero.body_force_coefficients(c_drag, 0.0, c_lift,
                                                  0.0, 0.0)
     thrust0 = dynamics.thrust_from_force_balance(
-        mass=cfg.mass, g=ISA.g, s_ref=cfg.wing_area, qbar=qbar0,
-        v_dot=v_dot0, alpha=0.0, beta=0.0, theta=theta0, phi=phi0,
-        c_x=c_x, c_y=c_y, c_z=c_z)
+        mass=cfg.mass, g=ISA.g, s_ref=cfg.wing_area, qbar=ref.qbar,
+        v_dot=float(profiles.v_dot[0]), alpha=0.0, beta=0.0,
+        theta=theta0, phi=phi0, c_x=c_x, c_y=c_y, c_z=c_z)
 
     theta_dot0, psi_dot0 = kinematics.attitude_rates(
         alpha=0.0, beta=0.0, phi=phi0,
@@ -398,24 +367,10 @@ def initialize(profiles: KinematicProfiles,
         psi_w_dot=float(profiles.psi_w_dot[0]))
     p0, q0, r0 = kinematics.body_rates_from_euler(phi0, theta0, phi_dot0,
                                                   theta_dot0, psi_dot0)
-    inertia = dynamics.inertia_system(cfg)
-    dl0, dm0, dn0 = dynamics.controls_from_angular_accels(
-        0.0, 0.0, 0.0, p=p0, q=q0, r=r0, alpha=0.0, beta=0.0,
-        v=v0, qbar=qbar0, inertia=inertia, coeffs=coeffs,
-        s_ref=cfg.wing_area, span_ref=cfg.span_ref,
-        chord_ref=cfg.chord_ref)
-
-    state = FlightState(
-        t=profiles.stations.t0, v=v0, alpha=0.0, beta=0.0,
-        p=p0, q=q0, r=r0, phi=phi0, theta=theta0, psi=psi0,
-        theta_w=theta_w0, psi_w=psi_w0,
-        delta_l=dl0, delta_m=dm0, delta_n=dn0, thrust=thrust0,
-        xg_dot=float(profiles.xg_dot[0]),
-        yg_dot=float(profiles.yg_dot[0]),
-        zg_dot=float(profiles.zg_dot[0]),
-        alpha_dot=0.0, beta_dot=0.0,
-        theta_dot=theta_dot0, psi_dot=psi_dot0, thrust_dot=0.0)
-    return InitialConditions(state=state, reference=ref, coeffs=coeffs)
+    return InitialConditions(
+        y0=(0.0, 0.0, theta0, psi0, thrust0, 0.0, 0.0,
+            theta_dot0, psi_dot0, p0, q0, r0),
+        reference=ref)
 
 
 # ----------------------------------------------------------------------
@@ -442,8 +397,9 @@ CASCADE_SWEEPS = 4
 _STAGE_ROW = struct.Struct("14d")
 _STATION_RECORD = struct.Struct("16d")
 
-# stations per call of the deflection recovery after the march
-_STATION_BLOCK = 4096
+# stations per call of the deflection recovery after the march, and per
+# formatted write of the history file
+STATION_BLOCK = 2048
 
 
 def _make_rate_function(rows, t0, half_dt, cfg, coeffs, lag):
@@ -677,7 +633,7 @@ def solve(spec: TrajectorySpec, cfg: AircraftConfig) -> SolutionHistory:
     profiles = setup(spec)
     init = initialize(profiles, cfg)
     inertia = dynamics.inertia_system(cfg)
-    coeffs = init.coeffs
+    coeffs = init.reference.coeffs
     grid = profiles.stations
     n, dt, t0 = grid.count, grid.dt, grid.t0
 
@@ -694,9 +650,7 @@ def solve(spec: TrajectorySpec, cfg: AircraftConfig) -> SolutionHistory:
     block = np.empty((n, len(names)))
     pack_station, stride = _STATION_RECORD.pack_into, block.strides[0]
 
-    s0 = init.state
-    y = (0.0, 0.0, s0.theta, s0.psi, s0.thrust, 0.0, 0.0,
-         s0.theta_dot, s0.psi_dot, s0.p, s0.q, s0.r)
+    y = init.y0
 
     # station 0: auxiliary thrust rate evaluated at the initial state,
     # seeded with zero angular accelerations; it is also step 0's k1
@@ -746,10 +700,10 @@ def solve(spec: TrajectorySpec, cfg: AircraftConfig) -> SolutionHistory:
     out = dict(zip(names, block.T))
     inputs = [out[k] for k in ("p_dot", "q_dot", "r_dot", "p", "q", "r",
                                "alpha", "beta")] + [v, qbar]
-    # setup (V > 0) and initialize's call (the aircraft data) have made
+    # setup (V > 0) and validate_config (the aircraft data) have made
     # every check the recovery makes, so it cannot fail here
-    for lo in range(0, n, _STATION_BLOCK):
-        sl = slice(lo, lo + _STATION_BLOCK)
+    for lo in range(0, n, STATION_BLOCK):
+        sl = slice(lo, lo + STATION_BLOCK)
         out["delta_l"][sl], out["delta_m"][sl], out["delta_n"][sl] = \
             dynamics.controls_from_angular_accels(
                 *(a[sl] for a in inputs), inertia, coeffs, cfg.wing_area,

@@ -9,7 +9,6 @@ criteria through module-scoped fixtures.
 import math
 import random
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -141,8 +140,7 @@ def test_criterion_3_roll_maneuver_extremes(cfg, solves):
     # as solved and with the rudder scaled up to the former 49.9 deg
     # target (48.9 and 49.9 deg peaks) against criterion 6.2's bounds.
     flown = solves[1e-3]
-    oracle = TextbookSixDof(
-        cfg, replace(cfg.aero, c_lift0=flown.reference.c_lift0_equib))
+    oracle = TextbookSixDof(cfg, flown.reference.coeffs)
     solved_peak = float(np.abs(flown.delta_n).max()) * DEG
     trips = {}
     for peak in (solved_peak, 48.9, 49.9):
@@ -279,10 +277,10 @@ def test_criterion_6_1_moment_round_trip(cfg):
 
 def test_criterion_6_2_full_round_trip(cfg, solves):
     hist = solves[1e-3]
-    coeffs = replace(cfg.aero, c_lift0=hist.reference.c_lift0_equib)
     run = simulate(hist.state_at(0), hist.controls(), cfg,
                    position0=(float(hist.xg[0]), float(hist.yg[0]),
-                              float(hist.zg[0])), coeffs=coeffs)
+                              float(hist.zg[0])),
+                   coeffs=hist.reference.coeffs)
     dev_y, dev_z, phi_end, ok = _round_trip(hist, run.yg, run.zg, run.phi)
     report("6.2", ok,
            f"round-trip deviations y={dev_y:.3f} m, z={dev_z:.3f} m "

@@ -1,7 +1,9 @@
 import math
+from dataclasses import replace
 
 import pytest
 
+from invflight import BeyondStall, ZeroVelocity
 from invflight.aero import (
     body_force_coefficients,
     body_force_coefficient_rates,
@@ -147,27 +149,44 @@ class TestDimensionalize:
 
 
 class TestEquilibriumReference:
+    # the Mirage-III at 200 m/s in air of 0.412 kg/m^3: qbar = 8,240 Pa
     def test_mirage_cruise_reference(self, mirage):
-        ref = equilibrium_reference(7400.0, 9.81, 8240.0, 36.0, 2.204, 0.0)
+        ref = equilibrium_reference(mirage, 0.412, 200.0)
+        assert ref.qbar == pytest.approx(8240.0, rel=1e-15)
         assert ref.c_lift0_equib == pytest.approx(0.245, abs=1e-3)
         assert ref.alpha_equib == pytest.approx(0.111, abs=2e-4)
         assert math.degrees(ref.alpha_equib) == pytest.approx(6.36, abs=0.02)
         assert ref.alpha_zero_lift == 0.0
         assert ref.alpha_shift == ref.alpha_equib
+        # the trim-shifted set differs from the aircraft's in c_lift0 only
+        assert ref.coeffs == replace(mirage.aero,
+                                     c_lift0=ref.c_lift0_equib)
 
-    def test_lift_weight_identity_exact(self):
-        ref = equilibrium_reference(7400.0, 9.81, 8240.0, 36.0, 2.204, 0.0)
-        assert ref.c_lift0_equib * 8240.0 * 36.0 == pytest.approx(
+    def test_lift_weight_identity_exact(self, mirage):
+        ref = equilibrium_reference(mirage, 0.412, 200.0)
+        assert ref.c_lift0_equib * ref.qbar * 36.0 == pytest.approx(
             7400.0 * 9.81, rel=1e-15)
 
-    def test_doubling_pressure_halves_reference(self):
-        one = equilibrium_reference(7400.0, 9.81, 8240.0, 36.0, 2.204, 0.0)
-        two = equilibrium_reference(7400.0, 9.81, 16480.0, 36.0, 2.204, 0.0)
+    def test_doubling_pressure_halves_reference(self, mirage):
+        one = equilibrium_reference(mirage, 0.412, 200.0)
+        two = equilibrium_reference(mirage, 0.824, 200.0)
+        assert two.qbar == 2 * one.qbar
         assert two.c_lift0_equib == pytest.approx(one.c_lift0_equib / 2)
         assert two.alpha_equib == pytest.approx(one.alpha_equib / 2)
 
-    def test_cambered_airfoil_shift(self):
-        ref = equilibrium_reference(7400.0, 9.81, 8240.0, 36.0, 2.204, 0.1)
+    def test_cambered_airfoil_shift(self, mirage):
+        cambered = replace(mirage, aero=replace(mirage.aero, c_lift0=0.1))
+        ref = equilibrium_reference(cambered, 0.412, 200.0)
         assert ref.alpha_zero_lift == pytest.approx(-0.1 / 2.204)
         assert ref.alpha_shift == pytest.approx(
             ref.alpha_equib - 0.1 / 2.204)
+        assert ref.coeffs.c_lift0 == ref.c_lift0_equib
+
+    @pytest.mark.parametrize("speed, error", [(1e-200, ZeroVelocity),
+                                              (80.0, BeyondStall)])
+    def test_start_without_lift_or_past_stall_is_refused(self, mirage,
+                                                         speed, error):
+        # the dynamic pressure underflows to 0 at 1e-200 m/s; 80 m/s at
+        # 10 km needs 39.7 deg
+        with pytest.raises(error):
+            equilibrium_reference(mirage, 0.412, speed)

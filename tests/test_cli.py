@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -42,6 +43,9 @@ OUT_OF_ENVELOPE = {
     "hover": ("zero_velocity", lambda t: (0.0, -10000.0)),
     "vertical_climb": ("vertical_flight",
                        lambda t: (0.0, -10000.0 - 100.0 * t)),
+    # level at 10 km, where the 1-g trim needs 254,382 and 39.7 deg
+    "stall_at_1_m_s": ("beyond_stall", lambda t: (1.0 * t, -10000.0)),
+    "stall_at_80_m_s": ("beyond_stall", lambda t: (80.0 * t, -10000.0)),
 }
 
 
@@ -96,14 +100,47 @@ class TestTrim:
         assert "[altitude_out_of_range]" in err.err
         assert err.out == ""
 
-    @pytest.mark.parametrize("speed", ["1e-3", "130"])
+    @pytest.mark.parametrize("speed", ["1e-3", "130", "1e-160"])
     def test_trim_beyond_stall_is_input_error(self, capsys, speed):
         # --speed 1e-3 once printed alpha_equib_deg = 2.54e+11 and exit 0;
-        # 130 m/s at 10 km needs 15.05 deg
+        # 130 m/s at 10 km needs 15.05 deg; at 1e-160 m/s the lift
+        # coefficient overflows to inf
         assert run("trim", "--speed", speed) == EXIT_INPUT
         err = capsys.readouterr()
         assert "[beyond_stall]" in err.err
         assert err.out == ""
+
+    def test_underflowing_dynamic_pressure_is_input_error(self, capsys):
+        # q = 0.5 rho V^2 is 0.0 at 1e-200 m/s: once exit 2, a numerical
+        # failure
+        assert run("trim", "--speed", "1e-200") == EXIT_INPUT
+        err = capsys.readouterr()
+        assert "[zero_velocity] dynamic pressure 0.0 Pa" in err.err
+        assert err.out == ""
+
+    def test_high_speed_limit(self, capsys):
+        # the induced drag vanishes: thrust tends to q S C_D0
+        assert run("trim", "--speed", "2000") == EXIT_OK
+        out = capsys.readouterr().out
+        values = dict(line.split(" = ") for line in out.strip().splitlines())
+        assert float(values["c_lift"]) == pytest.approx(0.00245, abs=1e-4)
+        qs = float(values["qbar_pa"]) * 36.0
+        assert float(values["thrust_n"]) == pytest.approx(qs * 0.015,
+                                                          rel=1e-3)
+
+    def test_trim_is_the_level_solve_start(self, capsys, mirage):
+        # one trim relation: the report and the start of a level solve at
+        # the same altitude and speed agree to the last digit
+        assert run("trim", "--altitude", "10000", "--speed", "200") == EXIT_OK
+        trim = dict(line.split(" = ") for line in
+                    capsys.readouterr().out.strip().splitlines())
+        hist = solver.solve(solver.maneuver_spec("level", 1e-2), mirage)
+        assert hist.thrust[0] == 11554.751843686146
+        assert trim["thrust_n"] == _fmt(hist.thrust[0])
+        assert trim["c_lift"] == _fmt(hist.reference.c_lift0_equib)
+        assert trim["alpha_equib_deg"] == _fmt(
+            math.degrees(hist.reference.alpha_equib))
+        assert trim["qbar_pa"] == _fmt(hist.reference.qbar)
 
 
 class TestInverse:
@@ -217,7 +254,7 @@ class TestInverse:
         hist.beta[[0, 6, 7, 6000]] = -0.0
         hist.stall[[5, 7, 13]] = True
         hist.reverse_thrust[[6, 7, 14]] = True
-        monkeypatch.setattr(cli, "_HISTORY_BLOCK", 7)
+        monkeypatch.setattr(solver, "STATION_BLOCK", 7)
         write_history(hist, tmp_path / "h.csv", "deg")
         cols = _history_columns(hist, "deg")
         names = HISTORY_HEADER.split(",")
@@ -238,7 +275,7 @@ class TestInverse:
         # 1 kB a row, 6 MB traced for these 6,001 rows
         short = solver.solve(solver.maneuver_spec("mirage-roll", 1e-2),
                              mirage)
-        monkeypatch.setattr(cli, "_HISTORY_BLOCK", 256)
+        monkeypatch.setattr(solver, "STATION_BLOCK", 256)
         peaks = []
         for hist in (short, roll_1e3):
             tracemalloc.start()
@@ -339,6 +376,26 @@ class TestForward:
         status = run("forward", "--history", str(bad), "--angles", "rad",
                      "--out", str(tmp_path))
         assert status == EXIT_MISMATCH
+
+    @pytest.mark.parametrize("speed, code", [("80", "beyond_stall"),
+                                             ("0", "zero_velocity")])
+    def test_start_without_trim_is_input_error(self, tmp_path, capsys,
+                                               speed, code):
+        # the replay shifts the lift curve to the 1-g trim of its first
+        # row, as the inverse does; 0 m/s once raised ZeroDivisionError
+        out = tmp_path / "inv"
+        run("inverse", "--maneuver", "level", "--dt", "1e-2",
+            "--out", str(out))
+        lines = (out / "history.csv").read_text().splitlines()
+        first = lines[1].split(",")
+        first[lines[0].split(",").index("V")] = speed
+        bad = tmp_path / "slow.csv"
+        bad.write_text("\n".join([lines[0], ",".join(first)] + lines[2:])
+                       + "\n")
+        assert run("forward", "--history", str(bad),
+                   "--out", str(tmp_path)) == EXIT_INPUT
+        assert f"[{code}]" in capsys.readouterr().err
+        assert not (tmp_path / "forward.txt").exists()
 
     def test_forward_failure_names_the_station(self, tmp_path, capsys):
         # the level history flown from 10 m with the elevator held nose

@@ -6,13 +6,16 @@ import numpy as np
 import pytest
 
 from invflight import SingularControlMatrix, SingularInertia, ZeroVelocity
-from invflight.aero import body_force_coefficients, drag_coefficient
+from invflight.aero import (
+    body_force_coefficients,
+    drag_coefficient,
+    equilibrium_reference,
+)
 from invflight.dynamics import (
     angular_accels_forward,
     aoa_accel,
     aoa_rate,
     controls_from_angular_accels,
-    cruise_trim,
     gyro_terms,
     inertia_system,
     sideslip_accel,
@@ -368,14 +371,15 @@ class TestControlRecovery:
 
 class TestCruiseTrim:
     def test_mirage_cruise(self, mirage):
-        thrust, c_lift, c_drag = cruise_trim(mirage.mass, G, 0.412, 200.0,
-                                             mirage.wing_area, mirage.aero)
-        assert c_lift == pytest.approx(0.245, abs=1e-3)
+        # the trim point of the shared relation, flown level: thrust
+        # from the axial force balance at the trim lift
+        ref = equilibrium_reference(mirage, 0.412, 200.0)
+        c_drag = drag_coefficient(ref.c_lift0_equib, ref.coeffs)
+        cx, cy, cz = body_force_coefficients(c_drag, 0.0, ref.c_lift0_equib,
+                                             0.0, 0.0)
+        thrust = thrust_from_force_balance(
+            mass=mirage.mass, g=G, s_ref=mirage.wing_area, qbar=ref.qbar,
+            v_dot=0.0, alpha=0.0, beta=0.0, theta=0.0, phi=0.0,
+            c_x=cx, c_y=cy, c_z=cz)
+        assert ref.c_lift0_equib == pytest.approx(0.245, abs=1e-3)
         assert thrust == pytest.approx(11572.0, abs=20.0)
-
-    def test_high_speed_limit(self, mirage):
-        thrust, c_lift, c_drag = cruise_trim(mirage.mass, G, 0.412, 2000.0,
-                                             mirage.wing_area, mirage.aero)
-        assert c_lift == pytest.approx(0.00245, abs=1e-4)
-        qs = 0.5 * 0.412 * 2000.0 ** 2 * mirage.wing_area
-        assert thrust == pytest.approx(qs * mirage.aero.c_drag0, rel=1e-3)

@@ -137,10 +137,9 @@ class TestTrimFlight:
 
     def test_airflow_consistency(self, mirage):
         hist = solve(maneuver_spec("mirage-roll", 1e-2), mirage)
-        coeffs = replace(mirage.aero,
-                         c_lift0=hist.reference.c_lift0_equib)
         run = simulate(hist.state_at(0), hist.controls(), mirage,
-                       position0=(0.0, 0.0, -10000.0), coeffs=coeffs)
+                       position0=(0.0, 0.0, -10000.0),
+                       coeffs=hist.reference.coeffs)
         norm = np.sqrt(run.u ** 2 + run.v_side ** 2 + run.w ** 2)
         assert norm == pytest.approx(run.v, rel=1e-12)
         # each station's airflow is exactly the scalar conversion of its
@@ -165,10 +164,10 @@ class TestControlTable:
         copies = replace(controls, **{
             k: np.ascontiguousarray(getattr(controls, k))
             for k in CONTROL_COLUMNS})
-        coeffs = replace(mirage.aero, c_lift0=hist.reference.c_lift0_equib)
         start = (float(hist.xg[0]), float(hist.yg[0]), float(hist.zg[0]))
         return [simulate(hist.state_at(0), c, mirage, position0=start,
-                         coeffs=coeffs) for c in (controls, copies)]
+                         coeffs=hist.reference.coeffs)
+                for c in (controls, copies)]
 
     def test_strided_views_fly_as_contiguous_copies(self, mirage):
         # the solved controls are strided views of the solve's record
@@ -198,11 +197,10 @@ class TestControlTable:
 class TestRoundTrip:
     def test_roll_maneuver_round_trip(self, mirage):
         hist = solve(maneuver_spec("mirage-roll", 1e-3), mirage)
-        coeffs = replace(mirage.aero,
-                         c_lift0=hist.reference.c_lift0_equib)
         run = simulate(hist.state_at(0), hist.controls(), mirage,
                        position0=(float(hist.xg[0]), float(hist.yg[0]),
-                                  float(hist.zg[0])), coeffs=coeffs)
+                                  float(hist.zg[0])),
+                       coeffs=hist.reference.coeffs)
         assert np.max(np.abs(run.yg - hist.yg)) < 1.0
         assert np.max(np.abs(run.zg - hist.zg)) < 1.0
         assert np.max(np.abs(run.phi - hist.phi)) < math.radians(0.5)
@@ -239,7 +237,7 @@ class TestTextbookOracle:
         # must fly the same controls to roundoff.
         cfg = replace(mirage, i_zx=0.0)
         hist = solve(maneuver_spec("mirage-roll", 1e-2), cfg)
-        coeffs = replace(cfg.aero, c_lift0=hist.reference.c_lift0_equib)
+        coeffs = hist.reference.coeffs
         start = (float(hist.xg[0]), float(hist.yg[0]), float(hist.zg[0]))
         run = simulate(hist.state_at(0), hist.controls(), cfg,
                        position0=start, coeffs=coeffs)

@@ -308,21 +308,35 @@ class TestStageTable:
 
 
 class TestInitialize:
+    # the march's twelve-value state, in march order
+    START = ("alpha", "beta", "theta", "psi", "thrust", "alpha_dot",
+             "beta_dot", "theta_dot", "psi_dot", "p", "q", "r")
+
+    def start(self, profiles, cfg):
+        init = initialize(profiles, cfg)
+        assert len(init.y0) == len(self.START)
+        return dict(zip(self.START, init.y0)), init.reference
+
     def test_roll_maneuver_equilibrium_start(self, mirage):
-        prof = setup(maneuver_spec("mirage-roll", 1e-3))
-        init = initialize(prof, mirage)
-        s = init.state
-        assert (s.alpha, s.beta) == (0.0, 0.0)
-        assert (s.theta, s.psi) == (0.0, 0.0)
-        assert (s.p, s.q, s.r) == pytest.approx((0.0, 0.0, 0.0), abs=1e-15)
-        assert (s.alpha_dot, s.beta_dot) == (0.0, 0.0)
-        assert (s.theta_dot, s.psi_dot) == pytest.approx((0.0, 0.0),
+        spec = maneuver_spec("mirage-roll", 1e-2)
+        s, ref = self.start(setup(spec), mirage)
+        assert (s["alpha"], s["beta"]) == (0.0, 0.0)
+        assert (s["theta"], s["psi"]) == (0.0, 0.0)
+        assert (s["p"], s["q"], s["r"]) == pytest.approx((0.0, 0.0, 0.0),
                                                          abs=1e-15)
-        assert s.thrust == pytest.approx(11572.0, abs=20.0)
-        assert (s.delta_l, s.delta_m, s.delta_n) == pytest.approx(
-            (0.0, 0.0, 0.0), abs=1e-15)
-        assert init.reference.c_lift0_equib == pytest.approx(0.245,
-                                                             abs=1e-3)
+        assert (s["alpha_dot"], s["beta_dot"]) == (0.0, 0.0)
+        assert (s["theta_dot"], s["psi_dot"]) == pytest.approx((0.0, 0.0),
+                                                               abs=1e-15)
+        assert s["thrust"] == pytest.approx(11572.0, abs=20.0)
+        assert ref.c_lift0_equib == pytest.approx(0.245, abs=1e-3)
+        # the march starts from it, and the recovery pass finds the
+        # moments balanced there with zero deflections
+        hist = solve(spec, mirage)
+        assert tuple(getattr(hist, k)[0] for k in self.START) == \
+            tuple(s.values())
+        assert hist.reference == ref
+        assert (hist.delta_l[0], hist.delta_m[0], hist.delta_n[0]) == \
+            pytest.approx((0.0, 0.0, 0.0), abs=1e-15)
 
     def test_climb_start_adds_weight_component(self, mirage):
         gamma = 0.05
@@ -344,8 +358,8 @@ class TestInitialize:
                     d2=lambda t: np.zeros_like(np.asarray(t, float)),
                     d3=lambda t: np.zeros_like(np.asarray(t, float))),
                 phi=constant_channel(0.0)))
-        init = initialize(setup(climb), mirage)
-        assert init.state.theta == pytest.approx(gamma, rel=1e-12)
+        start, _ = self.start(setup(climb), mirage)
+        assert start["theta"] == pytest.approx(gamma, rel=1e-12)
 
         level = TrajectorySpec(
             duration=2.0, dt=0.01, name="level-5km",
@@ -358,8 +372,8 @@ class TestInitialize:
                 y=constant_channel(0.0),
                 z=constant_channel(-5000.0),
                 phi=constant_channel(0.0)))
-        init_level = initialize(setup(level), mirage)
-        extra = init.state.thrust - init_level.state.thrust
+        start_level, _ = self.start(setup(level), mirage)
+        extra = start["thrust"] - start_level["thrust"]
         assert extra == pytest.approx(mirage.mass * 9.81 * sg, rel=1e-3)
 
         # banked, heading off north: with zero airflow angles the start
@@ -385,10 +399,10 @@ class TestInitialize:
         prof = setup(banked)
         theta_w0, psi_w0 = float(prof.theta_w[0]), float(prof.psi_w[0])
         assert (theta_w0, psi_w0) == pytest.approx((gamma, chi), rel=1e-12)
-        init = initialize(prof, mirage)
-        assert init.state.phi == bank
-        assert init.state.theta == theta_w0
-        assert init.state.psi == psi_w0
+        start, _ = self.start(prof, mirage)
+        assert (start["theta"], start["psi"]) == (theta_w0, psi_w0)
+        # the bank is a constraint: the solved station 0 holds it exactly
+        assert solve(banked, mirage).phi[0] == bank
 
 
 class TestSolve:
@@ -459,7 +473,7 @@ class TestSolve:
         profiles = setup(spec)
         rho = profiles.station(profiles.rho)
         inertia = dynamics.inertia_system(cfg)
-        coeffs = replace(cfg.aero, c_lift0=hist.reference.c_lift0_equib)
+        coeffs = hist.reference.coeffs
         for i in range(hist.grid.count):
             v = float(hist.v[i])
             want = dynamics.controls_from_angular_accels(
@@ -476,8 +490,8 @@ class TestSolve:
     def test_deflections_are_recovered_after_the_march(self, mirage,
                                                        monkeypatch):
         # the march never reads the deflections back: one recovery call
-        # from initialize, then one per block of stations, not one per
-        # station (601 here)
+        # per block of stations, station 0 included, not one per station
+        # (601 here)
         from invflight import dynamics
 
         real = dynamics.controls_from_angular_accels
@@ -490,21 +504,18 @@ class TestSolve:
         monkeypatch.setattr(dynamics, "controls_from_angular_accels",
                             counting)
         solve(maneuver_spec("mirage-roll", 1e-2), mirage)
-        assert len(calls) == 2
+        assert len(calls) == 1
 
     def test_solution_satisfies_governing_relations_pointwise(self, mirage):
         # residual check independent of the marching scheme: the solved
         # histories must sit on the algebraic coupling manifold and
         # satisfy the force balances station by station
-        from dataclasses import replace
-
         from invflight import density, dynamics, kinematics
         from invflight.aero import body_force_coefficients, drag_coefficient
 
         dt = 1e-3
         hist = solve(maneuver_spec("mirage-roll", dt), mirage)
-        coeffs = replace(mirage.aero,
-                         c_lift0=hist.reference.c_lift0_equib)
+        coeffs = hist.reference.coeffs
         rho = float(density(hist.zg[0]))
         beta_dot_fd = fd_first_derivative(hist.beta, dt)
         worst_coupling = 0.0
