@@ -136,8 +136,9 @@ def _history_columns(hist: solver.SolutionHistory, unit: str,
         "T": hist.thrust[rows], "flags": flags,
     }
     s = _angle_scale(unit)
-    for n in _ANGLE_COLUMNS:
-        cols[n] = cols[n] * s
+    if s != 1.0:  # radians stay views: ``* 1.0`` would only copy them
+        for n in _ANGLE_COLUMNS:
+            cols[n] = cols[n] * s
     return cols
 
 
@@ -256,8 +257,8 @@ def _refly(cols, cfg: AircraftConfig, args, path) -> int:
     position0 = tuple(float(cols[k][0]) for k in ("x_g", "y_g", "z_g"))
     # the trim-referenced lift curve, as the inverse run built it at its
     # first station
-    ref = _refused(aero.equilibrium_reference, cfg, density(position0[2]),
-                   initial.v)
+    ref = _refused(lambda: aero.equilibrium_reference(
+        cfg, density(position0[2]), initial.v), where=" at station 0")
     try:
         run = fwd.simulate(initial, controls, cfg, position0=position0,
                            coeffs=ref.coeffs)
@@ -281,12 +282,12 @@ _REFUSALS = {AltitudeOutOfRange: "altitude_out_of_range",
              BeyondStall: "beyond_stall"}
 
 
-def _refused(fn, *args):
-    """``fn(*args)``, with the refusals above raised as input errors."""
+def _refused(fn, *args, where=""):
+    """``fn(*args)``; a refusal above becomes an input error ending where."""
     try:
         return fn(*args)
     except tuple(_REFUSALS) as err:
-        raise ConfigError([(_REFUSALS[type(err)], str(err))]) from None
+        raise ConfigError([(_REFUSALS[type(err)], f"{err}{where}")]) from None
 
 
 def run_inverse(args) -> int:

@@ -16,6 +16,10 @@ by multiplying (value, d/dt, d2/dt2) triples of the trig factors, for
 the flat scalar form in ``kinematics._aggregates`` to be checked against
 bit for bit.
 
+``loop_rk4_step`` is the RK4 step with its stage states and update
+formed by loops over ``zip``, for the straight-line ``numerics.rk4_step``
+to be checked against bit for bit.
+
 ``TextbookSixDof`` flies solved control histories through the body-axes
 equations of motion written from the textbook, with none of the
 package's physics, so it can check the inverse solver's answers.
@@ -288,6 +292,25 @@ def chained_aggregates(alpha, beta, phi, alpha_dot, beta_dot, phi_dot,
     vert = tuple(x + y for x, y in zip(_mul(sb, sp), _mul(cb_sa, cp)))
     ax = _mul(cb, ca)
     return lat, vert, ax
+
+
+def _axpy(y, k, s):
+    return tuple([yi + ki * s for yi, ki in zip(y, k)])
+
+
+def loop_rk4_step(f, t, y, dt, k1=None):
+    """``numerics.rk4_step`` with per-element loops, as the package once
+    wrote it; ``zip`` truncates a rate sequence of the wrong length."""
+    half = 0.5 * dt
+    if k1 is None:
+        k1 = f(t, y)
+    k2 = f(t + half, _axpy(y, k1, half))
+    k3 = f(t + half, _axpy(y, k2, half))
+    k4 = f(t + dt, _axpy(y, k3, dt))
+    sixth = dt / 6.0
+    y_new = tuple([yi + sixth * (a + 2.0 * (b + c) + d)
+                   for yi, a, b, c, d in zip(y, k1, k2, k3, k4)])
+    return y_new, (k1, k2, k3, k4)
 
 
 def _mat_vec(m, v):

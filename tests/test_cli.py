@@ -310,6 +310,16 @@ class TestInverse:
 
 
 class TestRoundTrip:
+    def test_replay_columns_in_radians_are_the_solved_arrays(self,
+                                                             roll_1e3):
+        # ``* 1.0`` once copied the angle columns the replay reads;
+        # alpha_actual is alpha plus the trim shift, a new array either way
+        cols = _history_columns(roll_1e3, "rad")
+        for name in set(cli._ANGLE_COLUMNS) - {"alpha_actual"}:
+            field = "alpha" if name == "alpha_proc" else name
+            assert np.shares_memory(cols[name], getattr(roll_1e3, field)), \
+                name
+
     def test_level_round_trip_matches(self, tmp_path, capsys):
         out = tmp_path / "rt"
         assert run("roundtrip", "--maneuver", "level", "--dt", "1e-3",
@@ -377,24 +387,43 @@ class TestForward:
                      "--out", str(tmp_path))
         assert status == EXIT_MISMATCH
 
+    @staticmethod
+    def replay_with_first_row(tmp_path, column, entry):
+        """Exit status of ``forward`` on a dt 1e-2 ``level`` history whose
+        first row holds ``entry`` in ``column``."""
+        out = tmp_path / "inv"
+        run("inverse", "--maneuver", "level", "--dt", "1e-2",
+            "--out", str(out))
+        lines = (out / "history.csv").read_text().splitlines()
+        first = lines[1].split(",")
+        first[lines[0].split(",").index(column)] = entry
+        bad = tmp_path / "bad_start.csv"
+        bad.write_text("\n".join([lines[0], ",".join(first)] + lines[2:])
+                       + "\n")
+        return run("forward", "--history", str(bad), "--out", str(tmp_path))
+
     @pytest.mark.parametrize("speed, code", [("80", "beyond_stall"),
                                              ("0", "zero_velocity")])
     def test_start_without_trim_is_input_error(self, tmp_path, capsys,
                                                speed, code):
         # the replay shifts the lift curve to the 1-g trim of its first
         # row, as the inverse does; 0 m/s once raised ZeroDivisionError
-        out = tmp_path / "inv"
-        run("inverse", "--maneuver", "level", "--dt", "1e-2",
-            "--out", str(out))
-        lines = (out / "history.csv").read_text().splitlines()
-        first = lines[1].split(",")
-        first[lines[0].split(",").index("V")] = speed
-        bad = tmp_path / "slow.csv"
-        bad.write_text("\n".join([lines[0], ",".join(first)] + lines[2:])
-                       + "\n")
-        assert run("forward", "--history", str(bad),
-                   "--out", str(tmp_path)) == EXIT_INPUT
-        assert f"[{code}]" in capsys.readouterr().err
+        assert self.replay_with_first_row(tmp_path, "V", speed) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert f"[{code}]" in err
+        assert "at station 0" in err
+        assert not (tmp_path / "forward.txt").exists()
+
+    def test_start_outside_the_atmosphere_is_input_error(self, tmp_path,
+                                                         capsys):
+        # the first row's density was taken outside the refusal, so this
+        # exited 2 as a numerical failure that named no row
+        assert self.replay_with_first_row(tmp_path, "z_g", "100") == \
+            EXIT_INPUT
+        err = capsys.readouterr().err
+        assert ("[altitude_out_of_range] altitude -100.0 m outside "
+                "[0, 11000] m at station 0") in err
+        assert "numerical failure" not in err
         assert not (tmp_path / "forward.txt").exists()
 
     def test_forward_failure_names_the_station(self, tmp_path, capsys):

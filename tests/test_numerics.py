@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from invflight.numerics import (
     fd_third_derivative,
     rk4_step,
 )
+
+from oracles import loop_rk4_step
 
 
 def grid_times(dt, n, t0=0.0):
@@ -146,3 +149,63 @@ class TestRK4:
 
         rk4_step(f, 1.0, (0.0,), 0.2)
         assert calls == [1.0, 1.1, 1.1, 1.2]
+
+
+def _bits(values):
+    """The bytes of a float sequence: equal bits, signs of zero included."""
+    return struct.pack(f"{len(values)}d", *values)
+
+
+def _random_floats(rng, n):
+    """n finite floats: mostly of comparable size, so that a change in
+    the order of operations shows in the rounding, some across 400
+    decades, and +-0.0 and subnormals."""
+    out = rng.uniform(-2.0, 2.0, n)
+    wide = rng.random(n) < 0.15
+    out[wide] *= 10.0 ** rng.uniform(-200, 200, int(wide.sum()))
+    special = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1.3e-310]
+    picks = rng.random(n) < 0.2
+    out[picks] = rng.choice(special, int(picks.sum()))
+    return tuple(out.tolist())
+
+
+class TestRK4StraightLine:
+    @pytest.mark.parametrize("n", [1, 2, 12, 13])
+    @pytest.mark.parametrize("given_k1", [False, True])
+    def test_bit_identical_to_the_loop_form(self, n, given_k1):
+        rng = np.random.default_rng(1400 + n)
+        for dt in (1e-4, 1e-3, 0.37, 5e-324) * 25:
+            y = _random_floats(rng, n)
+            rates = [_random_floats(rng, n) for _ in range(4)]
+
+            def rate_fn(record):
+                calls = iter(rates[1:] if given_k1 else rates)
+
+                def f(t, state):
+                    record.append((t, state))
+                    return next(calls)
+                return f
+
+            k1 = rates[0] if given_k1 else None
+            seen, want_seen = [], []
+            got = rk4_step(rate_fn(seen), 0.3, y, dt, k1)
+            want = loop_rk4_step(rate_fn(want_seen), 0.3, y, dt, k1)
+            assert _bits(got[0]) == _bits(want[0])
+            assert [_bits(k) for k in got[1]] == [_bits(k) for k in want[1]]
+            # the stage states the rate function was handed
+            assert [t for t, _ in seen] == [t for t, _ in want_seen]
+            assert [_bits(s) for _, s in seen] == \
+                [_bits(s) for _, s in want_seen]
+            assert all(type(s) is tuple for _, s in seen)
+            assert type(got[0]) is tuple
+
+    @pytest.mark.parametrize("n, length", [(1, 2), (2, 1), (12, 11),
+                                           (12, 13), (13, 0)])
+    def test_rate_of_the_wrong_length_is_an_error(self, n, length):
+        # the loop form's zip truncated such a rate without a word
+        y = tuple(float(i) for i in range(n))
+        with pytest.raises(ValueError, match="values to unpack"):
+            rk4_step(lambda t, state: (1.0,) * length, 0.0, y, 0.1)
+        with pytest.raises(ValueError, match="values to unpack"):
+            rk4_step(lambda t, state: (1.0,) * n, 0.0, y, 0.1,
+                     (1.0,) * length)
