@@ -249,7 +249,7 @@ def _refly(cols, cfg: AircraftConfig, args, path) -> int:
         grid=UniformGrid(float(t[0]), dt, len(t)), delta_l=cols["delta_l"],
         delta_m=cols["delta_m"], delta_n=cols["delta_n"], thrust=cols["T"])
     initial = FlightState(
-        t=float(t[0]), v=float(cols["V"][0]),
+        v=float(cols["V"][0]),
         alpha=float(cols["alpha_proc"][0]), beta=float(cols["beta"][0]),
         p=float(cols["p"][0]), q=float(cols["q"][0]),
         r=float(cols["r"][0]), phi=float(cols["phi"][0]),
@@ -373,13 +373,14 @@ def _build_parser() -> argparse.ArgumentParser:
                     "verification simulator.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_common(p, maneuver=True):
+    def add_common(p, maneuver=True, angles=True):
         p.add_argument("--config", default=None,
                        help="aircraft data file (default: built-in "
                             "Mirage-III data set)")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--angles", choices=("deg", "rad"), default="deg",
-                       help="unit for angle columns in output files")
+        if angles:
+            p.add_argument("--angles", choices=("deg", "rad"), default="deg",
+                           help="unit for angle columns in output files")
         if maneuver:
             p.add_argument("--maneuver", default=None,
                            help="built-in maneuver name: "
@@ -420,7 +421,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--speed", type=float, default=200.0, help="m/s")
 
     p = sub.add_parser("converge", help="step-size sensitivity study")
-    add_common(p)
+    add_common(p, angles=False)
     p.add_argument("--dt", type=float, action="append", required=True,
                    help="time step, s (give at least twice)")
     p.add_argument("--threshold", type=float, default=0.01,

@@ -39,8 +39,8 @@ class ControlHistory:
 
 @dataclass
 class ForwardHistory:
-    """Per-station simulated state of the direct 6-DOF run. The 15 columns
-    from ``u`` to ``beta`` are views of one ``(n, 15)`` record block."""
+    """Per-station simulated state of the direct 6-DOF run. The 12 columns
+    from ``u`` to ``zg`` are views of one ``(n, 12)`` record block."""
 
     grid: UniformGrid
     t: np.ndarray
@@ -56,13 +56,10 @@ class ForwardHistory:
     xg: np.ndarray
     yg: np.ndarray
     zg: np.ndarray
-    v: np.ndarray
-    alpha: np.ndarray
-    beta: np.ndarray
 
 
-# one station of the record block: the 12 states, then (V, alpha, beta)
-_STATION_RECORD = struct.Struct("15d")
+# one station of the record block: the 12 states
+_STATION_RECORD = struct.Struct("12d")
 # two consecutive stations of the control table, each
 # (delta_l, delta_m, delta_n, thrust)
 _CONTROL_ROWS = struct.Struct("8d")
@@ -73,15 +70,17 @@ def simulate(initial: FlightState, controls: ControlHistory,
     """Integrate the body-axes equations of motion under the controls.
 
     The twelve-variable state is (u, v, w, p, q, r, phi, theta, psi,
-    x_g, y_g, z_g), from ``position0``, advanced with fixed-step RK4 on
-    the control grid; controls are interpolated linearly between stations
-    for the half-step stage evaluations. ``coeffs`` is the coefficient set
-    flown (the round trip's is the inverse run's trim-shifted lift curve).
-    The four control columns, which may be strided views, are stacked once
-    into an ``(n, 4)`` float64 table, 32 bytes a station, and a stage
-    unpacks its rows i and i + 1 from the table's buffer into floats.
-    Each station packs its state and ``airflow_from_body`` into one row.
-    A kernel error or non-finite state raises ``SolverAbort`` at its step.
+    x_g, y_g, z_g), from the speed, airflow angles, body rates and
+    attitude of ``initial`` and from ``position0``, advanced with
+    fixed-step RK4 on the control grid; controls are interpolated
+    linearly between stations for the half-step stage evaluations.
+    ``coeffs`` is the coefficient set flown (the round trip's is the
+    inverse run's trim-shifted lift curve). The four control columns,
+    which may be strided views, are stacked once into an ``(n, 4)``
+    float64 table, 32 bytes a station, and a stage unpacks its rows i and
+    i + 1 from the table's buffer into floats. Each station packs its
+    state into one row of an ``(n, 12)`` block. A kernel error or
+    non-finite state raises ``SolverAbort`` at its step.
     """
     inertia = dynamics.inertia_system(cfg)
     grid = controls.grid
@@ -161,20 +160,18 @@ def simulate(initial: FlightState, controls: ControlHistory,
          float(position0[0]), float(position0[1]), float(position0[2]))
 
     names = ("u", "v_side", "w", "p", "q", "r", "phi", "theta", "psi",
-             "xg", "yg", "zg", "v", "alpha", "beta")
+             "xg", "yg", "zg")
     block = np.empty((n, len(names)))
     pack_station = _STATION_RECORD.pack_into
-    airflow = kinematics.airflow_from_body
 
-    pack_station(block, 0, *y, *airflow(y[0], y[1], y[2]))
+    pack_station(block, 0, *y)
     for i in range(n - 1):
         t_n = t0 + i * dt
         try:
             y, _ = rk4_step(rates, t_n, y, dt)
             if not all(map(math.isfinite, y)):
                 raise NonFiniteState("forward state went non-finite")
-            pack_station(block, _STATION_RECORD.size * (i + 1), *y,
-                         *airflow(y[0], y[1], y[2]))
+            pack_station(block, _STATION_RECORD.size * (i + 1), *y)
         except FlightMechanicsError as err:
             raise SolverAbort("forward simulation", i + 1, err) from err
 

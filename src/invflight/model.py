@@ -139,14 +139,9 @@ class AircraftConfig:
 
 @dataclass
 class FlightState:
-    """All solved flight variables at one time station.
+    """The start of a forward flight: speed, airflow angles, body rates
+    and attitude at one time station."""
 
-    The four control variables (three surface deflections plus thrust)
-    and the fourteen flight variables, together with the auxiliary time
-    derivatives the marching scheme carries between stations.
-    """
-
-    t: float = 0.0
     v: float = 0.0           # speed along the flight path, m/s
     alpha: float = 0.0       # angle of attack (procedure value), rad
     beta: float = 0.0        # sideslip, rad
@@ -156,21 +151,6 @@ class FlightState:
     phi: float = 0.0         # bank, rad
     theta: float = 0.0       # pitch, rad
     psi: float = 0.0         # heading, rad
-    theta_w: float = 0.0     # flight-path elevation, rad
-    psi_w: float = 0.0       # flight-path azimuth, rad
-    delta_l: float = 0.0     # aileron, rad
-    delta_m: float = 0.0     # elevator, rad
-    delta_n: float = 0.0     # rudder, rad
-    thrust: float = 0.0      # N
-    xg_dot: float = 0.0      # ground-axes velocity components, m/s
-    yg_dot: float = 0.0
-    zg_dot: float = 0.0
-    # auxiliary derivatives carried between stations
-    alpha_dot: float = 0.0
-    beta_dot: float = 0.0
-    theta_dot: float = 0.0
-    psi_dot: float = 0.0
-    thrust_dot: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -262,6 +242,12 @@ class TrajectorySpec:
                     problems.append(("non_uniform_samples",
                                      "sample times are not uniformly spaced "
                                      f"at dt = {self.dt}"))
+                if (self.dt > 0.0 and self.duration > 0.0
+                        and n != self.station_count):
+                    problems.append(("sample_count_mismatch",
+                                     f"{n} sample rows; duration "
+                                     f"{self.duration} at dt {self.dt} "
+                                     f"needs {self.station_count}"))
         if problems:
             raise ConfigError(problems)
         return self

@@ -168,9 +168,9 @@ class KinematicProfiles:
     of spacing dt/2 with 2*count - 1 points; stations are the even
     entries. The 14 half-step fields are column views of one C-contiguous
     float64 ``table``, which ``setup`` allocates first and fills a column
-    at a time. Ground coordinates and velocities are kept at stations
-    only, as the rows of one ``(6, count)`` block (they go verbatim into
-    the solution history).
+    at a time. Ground coordinates are kept at stations only, as the rows
+    of one ``(3, count)`` block (they go verbatim into the solution
+    history).
     """
 
     stations: UniformGrid
@@ -178,9 +178,6 @@ class KinematicProfiles:
     xg: np.ndarray
     yg: np.ndarray
     zg: np.ndarray
-    xg_dot: np.ndarray
-    yg_dot: np.ndarray
-    zg_dot: np.ndarray
     # the stage table, and its columns (stage evaluation)
     table: np.ndarray
     v: np.ndarray
@@ -230,11 +227,11 @@ def setup(spec: TrajectorySpec) -> KinematicProfiles:
     spec.validate()
     n = spec.station_count
     dt = spec.dt
-    # what setup keeps, the stage table and one block of the six station
-    # arrays, comes before any temporary, so that no kept array sits
+    # what setup keeps, the stage table and one block of the three station
+    # coordinates, comes before any temporary, so that no kept array sits
     # among the freed temporaries and keeps their pages resident
     table = np.empty((2 * n - 1, len(_STAGE_COLUMNS)))
-    ground = np.empty((6, n))  # x, y, z and their rates
+    ground = np.empty((3, n))  # x, y, z
     if spec.analytic is not None:
         man = spec.analytic
         for name in "xyz":
@@ -265,7 +262,7 @@ def setup(spec: TrajectorySpec) -> KinematicProfiles:
     _check_altitude(z, scale)
     xd, yd, zd = traj("x", 1), traj("y", 1), traj("z", 1)
     v[:] = np.sqrt(xd * xd + yd * yd + zd * zd)
-    for row, a in zip(ground, (traj("x", 0), traj("y", 0), z, xd, yd, zd)):
+    for row, a in zip(ground, (traj("x", 0), traj("y", 0), z)):
         row[:] = a[::scale]
     # the flight-path angles: the elevation chain differentiates the
     # vertical velocity resolution, the azimuth chain the two horizontal
@@ -309,7 +306,7 @@ def setup(spec: TrajectorySpec) -> KinematicProfiles:
             col[1::2] = 0.5 * (even[:-1] + even[1:])
     return KinematicProfiles(
         stations=UniformGrid(t0, dt, n),
-        **dict(zip(("xg", "yg", "zg", "xg_dot", "yg_dot", "zg_dot"), ground)),
+        **dict(zip(("xg", "yg", "zg"), ground)),
         table=table, **dict(zip(_STAGE_COLUMNS, table.T)))
 
 
@@ -392,10 +389,10 @@ def initialize(profiles: KinematicProfiles,
 CASCADE_SWEEPS = 4
 
 # one row of ``KinematicProfiles.stage_rows()``, and the marched head of
-# one station of the solve's record block, read and written in place as
-# packed doubles
+# one station of the solve's record block (state, then (p', q', r')),
+# read and written in place as packed doubles
 _STAGE_ROW = struct.Struct("14d")
-_STATION_RECORD = struct.Struct("16d")
+_STATION_RECORD = struct.Struct("15d")
 
 # stations per call of the deflection recovery after the march, and per
 # formatted write of the history file
@@ -562,8 +559,8 @@ class SolutionHistory:
     angles are copied from the setup profiles, never integrated, so they
     reproduce the prescription exactly. ``alpha`` is the procedure value
     (departure from trim); ``alpha_actual`` applies the reporting shift.
-    The 19 solved columns, ``alpha`` to ``r_dot``, are strided views of
-    one ``(n, 19)`` record block, not separate arrays: ``solve`` filled
+    The 18 solved columns, ``alpha`` to ``r_dot``, are strided views of
+    one ``(n, 18)`` record block, not separate arrays: ``solve`` filled
     the marched columns a station at a time and the deflections a block
     of stations at a time.
     """
@@ -575,9 +572,6 @@ class SolutionHistory:
     xg: np.ndarray
     yg: np.ndarray
     zg: np.ndarray
-    xg_dot: np.ndarray
-    yg_dot: np.ndarray
-    zg_dot: np.ndarray
     v: np.ndarray
     alpha: np.ndarray
     beta: np.ndarray
@@ -597,7 +591,6 @@ class SolutionHistory:
     beta_dot: np.ndarray
     theta_dot: np.ndarray
     psi_dot: np.ndarray
-    thrust_dot: np.ndarray
     p_dot: np.ndarray
     q_dot: np.ndarray
     r_dot: np.ndarray
@@ -641,21 +634,21 @@ def solve(spec: TrajectorySpec, cfg: AircraftConfig) -> SolutionHistory:
     lag = [0.0, 0.0, 0.0]
     rate_fn = _make_rate_function(rows, t0, 0.5 * dt, cfg, coeffs, lag)
 
-    # a station's record: state, thrust rate, (p', q', r'), deflections;
-    # the march packs the first 16, the recovery pass fills the last 3
+    # a station's record: state, (p', q', r'), deflections; the march
+    # packs the first 15, the recovery pass fills the last 3
     names = ("alpha", "beta", "theta", "psi", "thrust",
              "alpha_dot", "beta_dot", "theta_dot", "psi_dot",
-             "p", "q", "r", "thrust_dot", "p_dot", "q_dot", "r_dot",
+             "p", "q", "r", "p_dot", "q_dot", "r_dot",
              "delta_l", "delta_m", "delta_n")
     block = np.empty((n, len(names)))
     pack_station, stride = _STATION_RECORD.pack_into, block.strides[0]
 
     y = init.y0
 
-    # station 0: auxiliary thrust rate evaluated at the initial state,
-    # seeded with zero angular accelerations; it is also step 0's k1
+    # station 0: the rates at the initial state, seeded with zero
+    # angular accelerations, are step 0's k1
     rates_new = rate_fn(t0, y)
-    pack_station(block, 0, *y, rates_new[4], 0.0, 0.0, 0.0)
+    pack_station(block, 0, *y, 0.0, 0.0, 0.0)
 
     max_gap = 0.0
     for i in range(n - 1):
@@ -683,8 +676,7 @@ def solve(spec: TrajectorySpec, cfg: AircraftConfig) -> SolutionHistory:
         except FlightMechanicsError as err:
             raise SolverAbort("marching loop", i + 1, err) from err
 
-        pack_station(block, stride * (i + 1), *y_new, rates_new[4],
-                     p_avg, q_avg, r_avg)
+        pack_station(block, stride * (i + 1), *y_new, p_avg, q_avg, r_avg)
         y = y_new
 
     # keep what the history needs, then drop the stage table (the rate
@@ -692,9 +684,8 @@ def solve(spec: TrajectorySpec, cfg: AircraftConfig) -> SolutionHistory:
     v, phi, theta_w, psi_w = (profiles.station(a).copy() for a in
                               (profiles.v, profiles.phi, profiles.theta_w,
                                profiles.psi_w))
-    qbar = 0.5 * profiles.station(profiles.rho) * v * v
-    ground = {k: getattr(profiles, k)
-              for k in ("xg", "yg", "zg", "xg_dot", "yg_dot", "zg_dot")}
+    qbar = aero.dynamic_pressure(profiles.station(profiles.rho), v)
+    ground = {k: getattr(profiles, k) for k in ("xg", "yg", "zg")}
     del profiles, rows, rate_fn
 
     out = dict(zip(names, block.T))
@@ -740,7 +731,6 @@ class PairComparison:
 
 @dataclass
 class ConvergenceReport:
-    dts: list
     pairs: list
     threshold: float
     failures: dict
@@ -805,5 +795,5 @@ def convergence_study(spec: TrajectorySpec, cfg: AircraftConfig, dts,
                 metrics[ch] = float(np.max(np.abs(ca - cb))) / peak
             pairs.append(PairComparison(dt_coarse=coarse, dt_fine=fine,
                                         metrics=metrics, diverged=False))
-    return ConvergenceReport(dts=dts, pairs=pairs, threshold=threshold,
+    return ConvergenceReport(pairs=pairs, threshold=threshold,
                              failures=failures)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 import warnings
@@ -173,6 +174,30 @@ class TestInverse:
             (b / "history.csv").read_bytes()
         assert (a / "summary.txt").read_bytes() == \
             (b / "summary.txt").read_bytes()
+
+    # sha256 of the dt 1e-2 roll's outputs. A change that claims to keep
+    # every output byte-identical must keep these. They were taken on an
+    # AVX-512 Xeon with numpy 2.4.6; another host may differ in the last
+    # printed digit, because the set-up's array density uses numpy's
+    # vectorised power, not libm's pow (the atmosphere.density FOUND in
+    # CHANGES.md)
+    PINNED_SHA256 = {
+        "history.csv":
+            "d5c0065a66c2ee2ff552754a152279d72132021dceccd037cbaed2965deacc63",
+        "summary.txt":
+            "a2c1855804d775d3f7ad7eaf89ab0bba1a49f3cfb03432c981ce269d2e8687ea",
+        "forward.txt":
+            "a53fd94eba1a94473e7d9f61a82444316dd05ef3928632582061971020da6487",
+    }
+
+    def test_roll_outputs_are_pinned(self, tmp_path, capsys):
+        assert run("inverse", "--maneuver", "mirage-roll", "--dt", "1e-2",
+                   "--out", str(tmp_path)) == EXIT_OK
+        assert run("forward", "--history", str(tmp_path / "history.csv"),
+                   "--out", str(tmp_path)) == EXIT_OK
+        for name, digest in self.PINNED_SHA256.items():
+            got = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            assert got == digest, name
 
     def test_angle_unit_is_formatting_only(self, tmp_path, capsys):
         d = tmp_path / "deg"
@@ -577,6 +602,16 @@ class TestConverge:
     def test_single_step_size_is_usage_error(self, tmp_path, capsys):
         assert run("converge", "--maneuver", "mirage-roll", "--dt", "1e-3",
                    "--out", str(tmp_path)) == EXIT_INPUT
+
+    def test_angles_is_not_an_option(self, tmp_path, capsys):
+        # the study writes no angle, so it once accepted and ignored it
+        with pytest.raises(SystemExit) as info:
+            run("converge", "--maneuver", "level", "--dt", "1e-2", "--dt",
+                "2e-2", "--angles", "rad", "--out", str(tmp_path))
+        assert info.value.code == 2
+        assert "unrecognized arguments: --angles rad" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "convergence.txt").exists()
 
     def test_table_written(self, tmp_path, capsys):
         out = tmp_path / "cv"

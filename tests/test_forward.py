@@ -14,7 +14,6 @@ from invflight import (
     NonFiniteState,
     SolverAbort,
     forward,
-    kinematics,
     maneuver_spec,
     simulate,
     solve,
@@ -62,7 +61,8 @@ class TestBallistic:
         grid = UniformGrid(0.0, 1e-3, 6001)
         run = simulate(FlightState(v=100.0), constant_controls(grid), cfg,
                        position0=(0.0, 0.0, -10000.0), coeffs=cfg.aero)
-        energy = 0.5 * run.v ** 2 + 9.81 * (-run.zg)
+        speed_sq = run.u ** 2 + run.v_side ** 2 + run.w ** 2
+        energy = 0.5 * speed_sq + 9.81 * (-run.zg)
         assert np.max(np.abs(energy - energy[0])) < 1e-6 * energy[0]
 
 
@@ -116,7 +116,8 @@ class TestTrimFlight:
                        coeffs=coeffs)
         assert np.max(np.abs(run.zg + 10000.0)) < 1.0
         assert np.max(np.abs(run.yg)) < 1.0
-        assert np.max(np.abs(run.v - v0)) < 0.05
+        speed = np.sqrt(run.u ** 2 + run.v_side ** 2 + run.w ** 2)
+        assert np.max(np.abs(speed - v0)) < 0.05
 
     def test_longitudinal_lateral_decoupling(self, mirage):
         # pitch-only excitation leaves the lateral channel identically
@@ -135,26 +136,9 @@ class TestTrimFlight:
         # and the longitudinal channel did move
         assert np.max(np.abs(run.q)) > 1e-4
 
-    def test_airflow_consistency(self, mirage):
-        hist = solve(maneuver_spec("mirage-roll", 1e-2), mirage)
-        run = simulate(hist.state_at(0), hist.controls(), mirage,
-                       position0=(0.0, 0.0, -10000.0),
-                       coeffs=hist.reference.coeffs)
-        norm = np.sqrt(run.u ** 2 + run.v_side ** 2 + run.w ** 2)
-        assert norm == pytest.approx(run.v, rel=1e-12)
-        # each station's airflow is exactly the scalar conversion of its
-        # body velocity, not a vectorized recomputation
-        airflow = np.array([kinematics.airflow_from_body(u, v, w)
-                            for u, v, w in zip(run.u.tolist(),
-                                               run.v_side.tolist(),
-                                               run.w.tolist())])
-        assert np.array_equal(run.v, airflow[:, 0])
-        assert np.array_equal(run.alpha, airflow[:, 1])
-        assert np.array_equal(run.beta, airflow[:, 2])
-
 
 RECORD_COLUMNS = ("u", "v_side", "w", "p", "q", "r", "phi", "theta", "psi",
-                  "xg", "yg", "zg", "v", "alpha", "beta")
+                  "xg", "yg", "zg")
 CONTROL_COLUMNS = ("delta_l", "delta_m", "delta_n", "thrust")
 
 

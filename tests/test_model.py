@@ -124,6 +124,19 @@ class TestTrajectorySpec:
             spec.validate()
         assert err.value.codes == ["too_few_samples"]
 
+    @pytest.mark.parametrize("duration", [1.0, 3.0])
+    def test_sample_count_must_match_the_grid(self, duration):
+        # 21 rows at dt 0.1 span 2 s; the set-up once broadcast them into
+        # the grid's station arrays and raised a raw numpy ValueError
+        t = 0.1 * np.arange(21)
+        spec = TrajectorySpec(
+            duration=duration, dt=0.1, samples=SampledManeuver(
+                t=t, x=150.0 * t, y=0.0 * t, z=-5000.0 + 0.0 * t,
+                phi=0.0 * t))
+        with pytest.raises(ConfigError, match="21 sample rows") as err:
+            spec.validate()
+        assert err.value.codes == ["sample_count_mismatch"]
+
     def test_duration_must_be_step_multiple(self):
         spec = TrajectorySpec(duration=1.05, dt=0.1)
         with pytest.raises(ConfigError) as err:

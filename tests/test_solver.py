@@ -1,6 +1,6 @@
 import math
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -8,6 +8,7 @@ import pytest
 from invflight import (
     AltitudeOutOfRange,
     ConfigError,
+    FlightState,
     TrajectorySpec,
     convergence_study,
     initialize,
@@ -173,7 +174,7 @@ class TestSetup:
         ids=["roll", "sampled-helix"])
     def test_transient_memory(self, spec, bound):
         # traced peak of setup above what it keeps (the stage table and
-        # the six station arrays), in half-step arrays: 27 on the roll
+        # the three station arrays), in half-step arrays: 27 on the roll
         # and 22 on the sampled helix while every profile was a
         # temporary until the table was stacked, 13 and 6.5 now that
         # each is written into its column as it is computed
@@ -424,8 +425,10 @@ class TestSolve:
         # beside the table, about 720 B once they were its columns but
         # setup still held them all as temporaries, about 510 B once
         # setup wrote each into its column as it is computed, about 490 B
-        # now that the deflections are recovered after the march, with
-        # the stage table gone (at dt 1e-2: traced, a 1e-3 solve takes
+        # once the deflections were recovered after the march, with the
+        # stage table gone, about 462 B now that the record block and the
+        # station block carry only what is read (no thrust rate, no
+        # ground velocities) (at dt 1e-2: traced, a 1e-3 solve takes
         # half a minute)
         spec = maneuver_spec("mirage-roll", 1e-2)
         tracemalloc.start()
@@ -434,7 +437,7 @@ class TestSolve:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak / spec.station_count < 560
+        assert peak / spec.station_count < 527
 
     def test_roll_maneuver_sanity(self, mirage):
         hist = solve(maneuver_spec("mirage-roll", 1e-3), mirage)
@@ -455,8 +458,8 @@ class TestSolve:
     def test_station_records_are_consistent(self, mirage):
         hist = solve(maneuver_spec("mirage-roll", 1e-2), mirage)
         state = hist.state_at(3)
-        assert state.t == pytest.approx(hist.t[3])
-        assert state.thrust == hist.thrust[3]
+        for f in fields(FlightState):
+            assert getattr(state, f.name) == getattr(hist, f.name)[3], f.name
         controls = hist.controls()
         assert controls.grid.count == hist.grid.count
         assert np.array_equal(controls.delta_n, hist.delta_n)
