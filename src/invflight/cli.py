@@ -208,18 +208,17 @@ def read_history(path, unit: str):
     return cols
 
 
-def _deviation_report(run, cols, args, path) -> bool:
-    """Compare a forward run against the trajectory columns; returns
-    whether they mismatch."""
-    dx = float(np.abs(run.xg - cols["x_g"]).max())
-    dy = float(np.abs(run.yg - cols["y_g"]).max())
-    dz = float(np.abs(run.zg - cols["z_g"]).max())
-    dphi = float(np.abs(run.phi - cols["phi"]).max())
-    span = np.hypot(np.diff(cols["x_g"]), np.diff(cols["y_g"]))
-    path_length = float(np.sum(np.hypot(span, np.diff(cols["z_g"]))))
+def _deviation_report(run, track, args, path) -> bool:
+    """Compare a forward run against the trajectory ``track``, the
+    arrays (x_g, y_g, z_g, phi); returns whether they mismatch."""
+    xg, yg, zg, _ = track
+    dx, dy, dz, dphi = (float(np.abs(got - want).max()) for got, want
+                        in zip((run.xg, run.yg, run.zg, run.phi), track))
+    span = np.hypot(np.diff(xg), np.diff(yg))
+    path_length = float(np.sum(np.hypot(span, np.diff(zg))))
     pos_tol = args.pos_tol_frac * max(path_length, 1.0)
     phi_tol = math.radians(args.phi_tol_deg)
-    mismatch = dy > pos_tol or dz > pos_tol or dphi > phi_tol
+    mismatch = max(dx, dy, dz) > pos_tol or dphi > phi_tol
     _write_report(path, [
         ("path_length_m", _fmt(path_length)),
         ("max_dev_x_m", _fmt(dx)),
@@ -234,41 +233,18 @@ def _deviation_report(run, cols, args, path) -> bool:
     return mismatch
 
 
-def _refly(cols, cfg: AircraftConfig, args, path) -> int:
-    """Fly the controls of history columns (angles in rad) through the
-    forward simulator from their first station, and write the deviation
-    from their trajectory to ``path``. A flight that fails is reported
-    as a mismatch."""
-    t = cols["t"]
-    if len(t) < 2:
-        raise ConfigFileError("history has fewer than 2 stations")
-    dt = float(t[1] - t[0])
-    if dt <= 0 or np.max(np.abs(np.diff(t) - dt)) > 1e-7 * max(dt, 1.0):
-        raise ConfigFileError("history time column is not uniform")
-    controls = fwd.ControlHistory(
-        grid=UniformGrid(float(t[0]), dt, len(t)), delta_l=cols["delta_l"],
-        delta_m=cols["delta_m"], delta_n=cols["delta_n"], thrust=cols["T"])
-    initial = FlightState(
-        v=float(cols["V"][0]),
-        alpha=float(cols["alpha_proc"][0]), beta=float(cols["beta"][0]),
-        p=float(cols["p"][0]), q=float(cols["q"][0]),
-        r=float(cols["r"][0]), phi=float(cols["phi"][0]),
-        theta=float(cols["theta"][0]), psi=float(cols["psi"][0]))
-    position0 = tuple(float(cols[k][0]) for k in ("x_g", "y_g", "z_g"))
-    # the trim-referenced lift curve, as the inverse run built it at its
-    # first station
-    ref = _refused(lambda: aero.equilibrium_reference(
-        cfg, density(position0[2]), initial.v), where=" at station 0")
+def _refly(initial, controls, coeffs, track, cfg, args, path) -> int:
+    """Fly ``controls`` from ``initial`` with ``coeffs`` and write the
+    deviation from ``track`` to ``path``; a failed flight mismatches."""
     try:
-        run = fwd.simulate(initial, controls, cfg, position0=position0,
-                           coeffs=ref.coeffs)
+        run = fwd.simulate(initial, controls, cfg, coeffs)
     except FlightMechanicsError as err:
         # the controls drove the simulation out of its validity range
         _write_report(path, [("verdict", "mismatch"),
                              ("forward_failure", err)])
         print(f"forward run failed: {err}", file=sys.stderr)
         return EXIT_MISMATCH
-    mismatch = _deviation_report(run, cols, args, path)
+    mismatch = _deviation_report(run, track, args, path)
     print(f"wrote {path}")
     return EXIT_MISMATCH if mismatch else EXIT_OK
 
@@ -309,7 +285,27 @@ def run_inverse(args) -> int:
 def run_forward(args) -> int:
     cfg = _load_aircraft(args)
     cols = read_history(args.history, args.angles)
-    return _refly(cols, cfg, args, _out_dir(args) / "forward.txt")
+    t = cols["t"]
+    if len(t) < 2:
+        raise ConfigFileError("history has fewer than 2 stations")
+    dt = float(t[1] - t[0])
+    if dt <= 0 or np.max(np.abs(np.diff(t) - dt)) > 1e-7 * max(dt, 1.0):
+        raise ConfigFileError("history time column is not uniform")
+    controls = fwd.ControlHistory(
+        grid=UniformGrid(float(t[0]), dt, len(t)), delta_l=cols["delta_l"],
+        delta_m=cols["delta_m"], delta_n=cols["delta_n"], thrust=cols["T"])
+    first = {name: float(col[0]) for name, col in cols.items()}
+    initial = FlightState(
+        v=first["V"], alpha=first["alpha_proc"], beta=first["beta"],
+        p=first["p"], q=first["q"], r=first["r"], phi=first["phi"],
+        theta=first["theta"], psi=first["psi"], xg=first["x_g"],
+        yg=first["y_g"], zg=first["z_g"])
+    # the inverse run's trim-shifted lift curve, from its first station
+    ref = _refused(lambda: aero.equilibrium_reference(
+        cfg, density(initial.zg), initial.v), where=" at station 0")
+    track = (cols["x_g"], cols["y_g"], cols["z_g"], cols["phi"])
+    return _refly(initial, controls, ref.coeffs, track, cfg, args,
+                  _out_dir(args) / "forward.txt")
 
 
 def run_roundtrip(args) -> int:
@@ -317,7 +313,8 @@ def run_roundtrip(args) -> int:
     hist = _refused(solver.solve, _resolve_spec(args, args.dt), cfg)
     out = _out_dir(args)
     write_history(hist, out / "history.csv", args.angles)
-    return _refly(_history_columns(hist, "rad"), cfg, args,
+    return _refly(hist.state_at(0), hist.controls(), hist.reference.coeffs,
+                  (hist.xg, hist.yg, hist.zg, hist.phi), cfg, args,
                   out / "roundtrip.txt")
 
 
@@ -391,7 +388,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_tolerances(p):
         p.add_argument("--pos-tol-frac", type=float, default=0.005,
-                       help="y/z deviation bound as a fraction of the "
+                       help="x/y/z deviation bound as a fraction of the "
                             "path length")
         p.add_argument("--phi-tol-deg", type=float, default=2.0,
                        help="bank deviation bound, deg")

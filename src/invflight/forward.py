@@ -66,21 +66,21 @@ _CONTROL_ROWS = struct.Struct("8d")
 
 
 def simulate(initial: FlightState, controls: ControlHistory,
-             cfg: AircraftConfig, position0, coeffs) -> ForwardHistory:
+             cfg: AircraftConfig, coeffs) -> ForwardHistory:
     """Integrate the body-axes equations of motion under the controls.
 
     The twelve-variable state is (u, v, w, p, q, r, phi, theta, psi,
-    x_g, y_g, z_g), from the speed, airflow angles, body rates and
-    attitude of ``initial`` and from ``position0``, advanced with
-    fixed-step RK4 on the control grid; controls are interpolated
-    linearly between stations for the half-step stage evaluations.
-    ``coeffs`` is the coefficient set flown (the round trip's is the
-    inverse run's trim-shifted lift curve). The four control columns,
-    which may be strided views, are stacked once into an ``(n, 4)``
-    float64 table, 32 bytes a station, and a stage unpacks its rows i and
-    i + 1 from the table's buffer into floats. Each station packs its
-    state into one row of an ``(n, 12)`` block. A kernel error or
-    non-finite state raises ``SolverAbort`` at its step.
+    x_g, y_g, z_g), from the speed, airflow angles, body rates, attitude
+    and ground position of ``initial``, advanced with fixed-step RK4 on
+    the control grid; controls are interpolated linearly between
+    stations for the half-step stage evaluations. ``coeffs`` is the
+    coefficient set flown: a solved ``hist`` flies ``hist.state_at(0)``
+    and ``hist.controls()`` with ``hist.reference.coeffs``. The four
+    control columns, which may be strided views, are stacked once into an
+    ``(n, 4)`` float64 table, 32 bytes a station, and a stage unpacks its
+    rows i and i + 1 from the table's buffer into floats. Each station
+    packs its state into one row of an ``(n, 12)`` block. A kernel error
+    or non-finite state raises ``SolverAbort`` at its step.
     """
     inertia = dynamics.inertia_system(cfg)
     grid = controls.grid
@@ -157,7 +157,7 @@ def simulate(initial: FlightState, controls: ControlHistory,
                                              initial.beta)
     y = (u0, v0, w0, initial.p, initial.q, initial.r,
          initial.phi, initial.theta, initial.psi,
-         float(position0[0]), float(position0[1]), float(position0[2]))
+         initial.xg, initial.yg, initial.zg)
 
     names = ("u", "v_side", "w", "p", "q", "r", "phi", "theta", "psi",
              "xg", "yg", "zg")

@@ -139,8 +139,8 @@ class AircraftConfig:
 
 @dataclass
 class FlightState:
-    """The start of a forward flight: speed, airflow angles, body rates
-    and attitude at one time station."""
+    """The start of a forward flight: speed, airflow angles, body rates,
+    attitude and ground position at one time station."""
 
     v: float = 0.0           # speed along the flight path, m/s
     alpha: float = 0.0       # angle of attack (procedure value), rad
@@ -151,6 +151,9 @@ class FlightState:
     phi: float = 0.0         # bank, rad
     theta: float = 0.0       # pitch, rad
     psi: float = 0.0         # heading, rad
+    xg: float = 0.0          # ground position, m
+    yg: float = 0.0
+    zg: float = 0.0          # down: altitude = -zg
 
 
 @dataclass(frozen=True)

@@ -278,9 +278,7 @@ def test_criterion_6_1_moment_round_trip(cfg):
 def test_criterion_6_2_full_round_trip(cfg, solves):
     hist = solves[1e-3]
     run = simulate(hist.state_at(0), hist.controls(), cfg,
-                   position0=(float(hist.xg[0]), float(hist.yg[0]),
-                              float(hist.zg[0])),
-                   coeffs=hist.reference.coeffs)
+                   hist.reference.coeffs)
     dev_y, dev_z, phi_end, ok = _round_trip(hist, run.yg, run.zg, run.phi)
     report("6.2", ok,
            f"round-trip deviations y={dev_y:.3f} m, z={dev_z:.3f} m "

@@ -21,6 +21,7 @@ from invflight.cli import (
     write_history,
 )
 from invflight.errors import ConfigFileError
+from invflight.model import load_sampled_maneuver
 
 CONFIG = str(Path(__file__).resolve().parents[1] / "configs" / "mirage3.cfg")
 
@@ -337,13 +338,39 @@ class TestInverse:
 class TestRoundTrip:
     def test_replay_columns_in_radians_are_the_solved_arrays(self,
                                                              roll_1e3):
-        # ``* 1.0`` once copied the angle columns the replay reads;
-        # alpha_actual is alpha plus the trim shift, a new array either way
+        # ``* 1.0`` once copied the angle columns of a radian history
+        # block; alpha_actual is alpha plus the trim shift, a new array
+        # either way
         cols = _history_columns(roll_1e3, "rad")
         for name in set(cli._ANGLE_COLUMNS) - {"alpha_actual"}:
             field = "alpha" if name == "alpha_proc" else name
             assert np.shares_memory(cols[name], getattr(roll_1e3, field)), \
                 name
+
+    def test_replay_flies_the_solved_start_grid_and_lift_curve(
+            self, tmp_path, capsys, monkeypatch, mirage):
+        # the replay once rebuilt the trim from the scalar density of
+        # z_g[0]: at this altitude it flew C_L0 0.18778274896969127
+        # against the solver's 0.18778274896969133
+        man = tmp_path / "level.dat"
+        z0 = -7801.854785303742
+        man.write_text("".join(f"{0.01 * i!r} {2.0 * i!r} 0 {z0!r} 0\n"
+                               for i in range(201)))
+        flown = []
+
+        def spy(initial, controls, cfg, coeffs):
+            flown.append((initial, controls.grid, coeffs))
+            return fly(initial, controls, cfg, coeffs)
+
+        fly = cli.fwd.simulate
+        monkeypatch.setattr(cli.fwd, "simulate", spy)
+        assert run("roundtrip", "--maneuver-file", str(man), "--out",
+                   str(tmp_path / "rt")) == EXIT_OK
+        hist = solver.solve(load_sampled_maneuver(man), mirage)
+        [(initial, grid, coeffs)] = flown
+        assert initial == hist.state_at(0)
+        assert grid == hist.grid
+        assert coeffs == hist.reference.coeffs
 
     def test_level_round_trip_matches(self, tmp_path, capsys):
         out = tmp_path / "rt"
@@ -411,6 +438,35 @@ class TestForward:
         status = run("forward", "--history", str(bad), "--angles", "rad",
                      "--out", str(tmp_path))
         assert status == EXIT_MISMATCH
+
+    def test_along_track_deviation_is_in_the_verdict(self, tmp_path,
+                                                     capsys):
+        # 1.3 times the thrust runs the roll ahead of its track; the
+        # verdict once tested only y, z and the bank, and read match
+        # with x off by 6.55 m against the 6.0 m bound
+        out = tmp_path / "inv"
+        run("inverse", "--maneuver", "mirage-roll", "--dt", "1e-2",
+            "--out", str(out))
+        lines = (out / "history.csv").read_text().splitlines()
+        idx = lines[0].split(",").index("T")
+        pushed = [lines[0]]
+        for line in lines[1:]:
+            parts = line.split(",")
+            parts[idx] = repr(1.3 * float(parts[idx]))
+            pushed.append(",".join(parts))
+        bad = tmp_path / "pushed.csv"
+        bad.write_text("\n".join(pushed) + "\n")
+        assert run("forward", "--history", str(bad), "--out",
+                   str(tmp_path)) == EXIT_MISMATCH
+        report = dict(line.split(" = ") for line in
+                      (tmp_path / "forward.txt").read_text().splitlines())
+        assert report["verdict"] == "mismatch"
+        tol = float(report["pos_tol_m"])
+        assert float(report["max_dev_x_m"]) > tol
+        assert max(float(report["max_dev_y_m"]),
+                   float(report["max_dev_z_m"])) <= tol
+        assert float(report["max_dev_phi_deg"]) <= \
+            float(report["phi_tol_deg"])
 
     @staticmethod
     def replay_with_first_row(tmp_path, column, entry):

@@ -23,12 +23,6 @@ EXEMPT = {
     "dynamics.aoa_rate":
         "undifferentiated normal balance, kept as a residual relation "
         "(ROADMAP item 6(a)) for the run report (item 5)",
-    "solver.SolutionHistory.state_at":
-        "public round-trip API: the forward simulator's initial state "
-        "from a solved station",
-    "solver.SolutionHistory.controls":
-        "public round-trip API: the forward simulator's control history "
-        "from a solved run",
     "errors.ConfigError.codes":
         "public API of the typed input error: the violation codes a "
         "library caller checks",

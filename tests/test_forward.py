@@ -46,9 +46,9 @@ class TestBallistic:
     def test_gravity_only_fall(self, mirage):
         cfg = zero_aero(mirage)
         grid = UniformGrid(0.0, 1e-3, 6001)
-        initial = FlightState(v=100.0)
+        initial = FlightState(v=100.0, zg=-10000.0)
         run = simulate(initial, constant_controls(grid), cfg,
-                       position0=(0.0, 0.0, -10000.0), coeffs=cfg.aero)
+                       coeffs=cfg.aero)
         g = 9.81
         # vertical speed grows like g*t while the attitude stays frozen
         w_expected = g * run.t
@@ -59,8 +59,8 @@ class TestBallistic:
     def test_energy_conserved(self, mirage):
         cfg = zero_aero(mirage)
         grid = UniformGrid(0.0, 1e-3, 6001)
-        run = simulate(FlightState(v=100.0), constant_controls(grid), cfg,
-                       position0=(0.0, 0.0, -10000.0), coeffs=cfg.aero)
+        run = simulate(FlightState(v=100.0, zg=-10000.0),
+                       constant_controls(grid), cfg, coeffs=cfg.aero)
         speed_sq = run.u ** 2 + run.v_side ** 2 + run.w ** 2
         energy = 0.5 * speed_sq + 9.81 * (-run.zg)
         assert np.max(np.abs(energy - energy[0])) < 1e-6 * energy[0]
@@ -77,8 +77,8 @@ class TestFailureStation:
         station = int(np.argmax(altitude < 0.0))
         assert altitude[station - 1] > 0.1 and altitude[station] < -0.1
         with pytest.raises(SolverAbort) as info:
-            simulate(FlightState(v=100.0), constant_controls(grid), cfg,
-                     position0=(0.0, 0.0, -100.0), coeffs=cfg.aero)
+            simulate(FlightState(v=100.0, zg=-100.0),
+                     constant_controls(grid), cfg, coeffs=cfg.aero)
         err = info.value
         assert (err.phase, err.station) == ("forward simulation", station)
         assert isinstance(err.cause, AltitudeOutOfRange)
@@ -93,8 +93,8 @@ class TestFailureStation:
         monkeypatch.setattr(forward, "rk4_step", blow_up)
         grid = UniformGrid(0.0, 1e-2, 11)
         with pytest.raises(SolverAbort) as info:
-            simulate(FlightState(v=200.0), constant_controls(grid), mirage,
-                     position0=(0.0, 0.0, -10000.0), coeffs=mirage.aero)
+            simulate(FlightState(v=200.0, zg=-10000.0),
+                     constant_controls(grid), mirage, coeffs=mirage.aero)
         assert isinstance(info.value.cause, NonFiniteState)
         assert str(info.value) == ("forward simulation failed at station 1:"
                                    " forward state went non-finite")
@@ -110,9 +110,8 @@ class TestTrimFlight:
         c_drag = coeffs.c_drag0 + coeffs.k_drag * c_lift0 ** 2
         thrust = qbar * mirage.wing_area * c_drag
         grid = UniformGrid(0.0, 1e-3, 6001)
-        run = simulate(FlightState(v=v0), constant_controls(grid,
-                                                            thrust=thrust),
-                       mirage, position0=(0.0, 0.0, -10000.0),
+        run = simulate(FlightState(v=v0, zg=-10000.0),
+                       constant_controls(grid, thrust=thrust), mirage,
                        coeffs=coeffs)
         assert np.max(np.abs(run.zg + 10000.0)) < 1.0
         assert np.max(np.abs(run.yg)) < 1.0
@@ -129,8 +128,8 @@ class TestTrimFlight:
         coeffs = replace(mirage.aero, c_lift0=c_lift0)
         grid = UniformGrid(0.0, 1e-3, 2001)
         controls = constant_controls(grid, delta_m=0.02, thrust=12000.0)
-        run = simulate(FlightState(v=v0), controls, mirage,
-                       position0=(0.0, 0.0, -10000.0), coeffs=coeffs)
+        run = simulate(FlightState(v=v0, zg=-10000.0), controls, mirage,
+                       coeffs=coeffs)
         for arr in (run.v_side, run.p, run.r, run.phi, run.psi, run.yg):
             assert np.max(np.abs(arr)) < 1e-9
         # and the longitudinal channel did move
@@ -148,8 +147,7 @@ class TestControlTable:
         copies = replace(controls, **{
             k: np.ascontiguousarray(getattr(controls, k))
             for k in CONTROL_COLUMNS})
-        start = (float(hist.xg[0]), float(hist.yg[0]), float(hist.zg[0]))
-        return [simulate(hist.state_at(0), c, mirage, position0=start,
+        return [simulate(hist.state_at(0), c, mirage,
                          coeffs=hist.reference.coeffs)
                 for c in (controls, copies)]
 
@@ -182,8 +180,6 @@ class TestRoundTrip:
     def test_roll_maneuver_round_trip(self, mirage):
         hist = solve(maneuver_spec("mirage-roll", 1e-3), mirage)
         run = simulate(hist.state_at(0), hist.controls(), mirage,
-                       position0=(float(hist.xg[0]), float(hist.yg[0]),
-                                  float(hist.zg[0])),
                        coeffs=hist.reference.coeffs)
         assert np.max(np.abs(run.yg - hist.yg)) < 1.0
         assert np.max(np.abs(run.zg - hist.zg)) < 1.0
@@ -222,12 +218,11 @@ class TestTextbookOracle:
         cfg = replace(mirage, i_zx=0.0)
         hist = solve(maneuver_spec("mirage-roll", 1e-2), cfg)
         coeffs = hist.reference.coeffs
-        start = (float(hist.xg[0]), float(hist.yg[0]), float(hist.zg[0]))
-        run = simulate(hist.state_at(0), hist.controls(), cfg,
-                       position0=start, coeffs=coeffs)
+        start = hist.state_at(0)
+        run = simulate(start, hist.controls(), cfg, coeffs=coeffs)
         states = oracles.TextbookSixDof(cfg, coeffs).fly(
-            hist.state_at(0), hist.grid.dt, hist.delta_l, hist.delta_m,
-            hist.delta_n, hist.thrust, start)
+            start, hist.grid.dt, hist.delta_l, hist.delta_m, hist.delta_n,
+            hist.thrust, (start.xg, start.yg, start.zg))
         for got, want in ((states[:, 10], run.yg), (states[:, 11], run.zg)):
             assert np.max(np.abs(got - want)) < 1e-9
         for got, want in ((states[:, 3], run.p), (states[:, 6], run.phi),

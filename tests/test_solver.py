@@ -429,8 +429,10 @@ class TestSolve:
         # stage table gone, about 462 B now that the record block and the
         # station block carry only what is read (no thrust rate, no
         # ground velocities) (at dt 1e-2: traced, a 1e-3 solve takes
-        # half a minute)
+        # half a minute). The first solve of a process also builds the
+        # RK4 combiners, so a warm-up solve runs untraced.
         spec = maneuver_spec("mirage-roll", 1e-2)
+        solve(spec, mirage)
         tracemalloc.start()
         try:
             solve(spec, mirage)
