@@ -46,7 +46,6 @@ from .model import (
 )
 from .solver import (
     MANEUVERS,
-    ConvergenceReport,
     KinematicProfiles,
     SolutionHistory,
     convergence_study,

@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +45,7 @@ from .model import (
     load_numeric_text,
     load_sampled_maneuver,
     mirage_iii,
+    off_spacing,
     validate_config,
 )
 from .numerics import UniformGrid
@@ -56,14 +58,20 @@ EXIT_INPUT = 1
 EXIT_NUMERICAL = 2
 EXIT_MISMATCH = 3
 
-HISTORY_HEADER = ("t,x_g,y_g,z_g,V,alpha_proc,alpha_actual,beta,p,q,r,"
-                  "phi,theta,psi,theta_w,psi_w,delta_l,delta_m,delta_n,"
-                  "T,flags")
-
-# columns converted by the angle-unit preference (rates stay rad/s)
-_ANGLE_COLUMNS = ("alpha_proc", "alpha_actual", "beta", "phi", "theta",
-                  "psi", "theta_w", "psi_w", "delta_l", "delta_m",
-                  "delta_n")
+# the history file's columns: (header name, SolutionHistory field, is an
+# angle, which the angle-unit preference converts; rates stay rad/s)
+HISTORY_COLUMNS = (
+    ("t", "t", False), ("x_g", "xg", False), ("y_g", "yg", False),
+    ("z_g", "zg", False), ("V", "v", False), ("alpha_proc", "alpha", True),
+    ("alpha_actual", "alpha_actual", True), ("beta", "beta", True),
+    ("p", "p", False), ("q", "q", False), ("r", "r", False),
+    ("phi", "phi", True), ("theta", "theta", True), ("psi", "psi", True),
+    ("theta_w", "theta_w", True), ("psi_w", "psi_w", True),
+    ("delta_l", "delta_l", True), ("delta_m", "delta_m", True),
+    ("delta_n", "delta_n", True), ("T", "thrust", False),
+    ("flags", "flags", False),
+)
+HISTORY_HEADER = ",".join(name for name, _, _ in HISTORY_COLUMNS)
 
 FLAG_STALL = 1
 FLAG_REVERSE_THRUST = 2
@@ -106,7 +114,7 @@ def _resolve_spec(args, dt):
     if args.maneuver is not None:
         return solver.maneuver_spec(args.maneuver, 1e-4 if dt is None else dt)
     spec = load_sampled_maneuver(args.maneuver_file)
-    if dt is not None and abs(dt - spec.dt) > 1e-12 * spec.dt:
+    if dt is not None and off_spacing(dt, spec.dt):
         raise ConfigError([("dt_conflict",
                             f"--dt {dt} conflicts with the sample "
                             f"spacing {spec.dt}")])
@@ -117,38 +125,28 @@ def _angle_scale(unit: str) -> float:
     return 180.0 / math.pi if unit == "deg" else 1.0
 
 
-def _history_columns(hist: solver.SolutionHistory, unit: str,
-                     rows=slice(None)):
-    """The history file's columns by name, for the stations ``rows``."""
-    flags = (hist.stall[rows].astype(int) * FLAG_STALL
-             + hist.reverse_thrust[rows].astype(int) * FLAG_REVERSE_THRUST)
-    alpha = hist.alpha[rows]
-    cols = {
-        "t": hist.t[rows], "x_g": hist.xg[rows], "y_g": hist.yg[rows],
-        "z_g": hist.zg[rows], "V": hist.v[rows], "alpha_proc": alpha,
-        # ``hist.alpha_actual`` of these rows, without a full-length copy
-        "alpha_actual": alpha + hist.reference.alpha_shift,
-        "beta": hist.beta[rows], "p": hist.p[rows], "q": hist.q[rows],
-        "r": hist.r[rows], "phi": hist.phi[rows], "theta": hist.theta[rows],
-        "psi": hist.psi[rows], "theta_w": hist.theta_w[rows],
-        "psi_w": hist.psi_w[rows], "delta_l": hist.delta_l[rows],
-        "delta_m": hist.delta_m[rows], "delta_n": hist.delta_n[rows],
-        "T": hist.thrust[rows], "flags": flags,
-    }
+def _history_columns(hist: solver.SolutionHistory, unit: str, rows):
+    """The history file's columns by field name, for the stations ``rows``."""
     s = _angle_scale(unit)
-    if s != 1.0:  # radians stay views: ``* 1.0`` would only copy them
-        for n in _ANGLE_COLUMNS:
-            cols[n] = cols[n] * s
+    cols = {
+        # ``hist.alpha_actual`` of these rows, without a full-length copy
+        "alpha_actual": (hist.alpha[rows] + hist.reference.alpha_shift) * s,
+        "flags": (FLAG_STALL * hist.stall[rows]
+                  + FLAG_REVERSE_THRUST * hist.reverse_thrust[rows]),
+    }
+    for _, field, angle in HISTORY_COLUMNS:
+        if field not in cols:
+            col = getattr(hist, field)[rows]
+            cols[field] = col * s if angle else col
     return cols
 
 
 # one history row: the value columns as ``_fmt`` writes them, then flags
-_HISTORY_ROW = (",".join(["%.9g"] * (len(HISTORY_HEADER.split(",")) - 1))
-                + ",%d\n")
+_HISTORY_ROW = ",".join(["%.9g"] * (len(HISTORY_COLUMNS) - 1)) + ",%d\n"
 
 
 def write_history(hist: solver.SolutionHistory, path, unit: str):
-    names = HISTORY_HEADER.split(",")
+    values = [field for _, field, _ in HISTORY_COLUMNS[:-1]]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(HISTORY_HEADER + "\n")
         # the writer's memory is one block of formatted stations
@@ -156,7 +154,7 @@ def write_history(hist: solver.SolutionHistory, path, unit: str):
         for start in range(0, hist.grid.count, block):
             cols = _history_columns(hist, unit, slice(start, start + block))
             # ``+ 0.0`` turns -0.0 into 0.0, as ``_fmt`` does
-            rows = zip(*[(cols[n] + 0.0).tolist() for n in names[:-1]],
+            rows = zip(*[(cols[f] + 0.0).tolist() for f in values],
                        cols["flags"].tolist())
             fh.writelines([_HISTORY_ROW % row for row in rows])
 
@@ -191,20 +189,26 @@ def write_summary(hist: solver.SolutionHistory, path, unit: str,
 
 
 def read_history(path, unit: str):
-    """Read a history file back into arrays (radians internally).
+    """Read a history file back into arrays keyed by ``SolutionHistory``
+    field (``xg``, ``alpha``, ``thrust``, ...), angles in radians.
 
-    The file is read once into one ``(n, 21)`` float64 block. Each column
-    is a view of it, and the angle columns are converted in place, so the
-    replay holds its input once. A bad entry or no data row is an error.
+    Line 1 must be ``HISTORY_HEADER``. The rest is read once into one
+    ``(n, 21)`` float64 block. Each column is a view of it, and the angle
+    columns are converted in place, so the replay holds its input once.
+    A bad entry or no data row is an error.
     """
-    names = HISTORY_HEADER.split(",")
-    data = load_numeric_text(path, path, len(names), ",", skip=1)
+    with open(path, encoding="utf-8") as fh:
+        if fh.readline().rstrip("\r\n") != HISTORY_HEADER:
+            raise ConfigFileError(f"{path}: line 1: not the history header")
+    data = load_numeric_text(path, path, len(HISTORY_COLUMNS), ",", skip=1)
     if not len(data):
         raise ConfigFileError(f"{path}: no data rows after the header")
-    cols = {n: data[:, i] for i, n in enumerate(names)}
     s = _angle_scale(unit)
-    for n in _ANGLE_COLUMNS:
-        cols[n] /= s
+    cols = {}
+    for i, (_, field, angle) in enumerate(HISTORY_COLUMNS):
+        cols[field] = data[:, i]
+        if angle:
+            cols[field] /= s
     return cols
 
 
@@ -283,6 +287,8 @@ def run_inverse(args) -> int:
 
 
 def run_forward(args) -> int:
+    """Re-fly a history file: the start, grid and controls from its
+    columns by field name, the lift curve from the 1-g trim at station 0."""
     cfg = _load_aircraft(args)
     cols = read_history(args.history, args.angles)
     t = cols["t"]
@@ -292,18 +298,14 @@ def run_forward(args) -> int:
     if dt <= 0 or np.max(np.abs(np.diff(t) - dt)) > 1e-7 * max(dt, 1.0):
         raise ConfigFileError("history time column is not uniform")
     controls = fwd.ControlHistory(
-        grid=UniformGrid(float(t[0]), dt, len(t)), delta_l=cols["delta_l"],
-        delta_m=cols["delta_m"], delta_n=cols["delta_n"], thrust=cols["T"])
-    first = {name: float(col[0]) for name, col in cols.items()}
-    initial = FlightState(
-        v=first["V"], alpha=first["alpha_proc"], beta=first["beta"],
-        p=first["p"], q=first["q"], r=first["r"], phi=first["phi"],
-        theta=first["theta"], psi=first["psi"], xg=first["x_g"],
-        yg=first["y_g"], zg=first["z_g"])
+        grid=UniformGrid(float(t[0]), dt, len(t)),
+        **{n: cols[n] for n in ("delta_l", "delta_m", "delta_n", "thrust")})
+    initial = FlightState(**{f.name: float(cols[f.name][0])
+                             for f in fields(FlightState)})
     # the inverse run's trim-shifted lift curve, from its first station
     ref = _refused(lambda: aero.equilibrium_reference(
         cfg, density(initial.zg), initial.v), where=" at station 0")
-    track = (cols["x_g"], cols["y_g"], cols["z_g"], cols["phi"])
+    track = (cols["xg"], cols["yg"], cols["zg"], cols["phi"])
     return _refly(initial, controls, ref.coeffs, track, cfg, args,
                   _out_dir(args) / "forward.txt")
 
@@ -342,18 +344,18 @@ def run_trim(args) -> int:
 
 def run_converge(args) -> int:
     cfg = _load_aircraft(args)
-    report = solver.convergence_study(_resolve_spec(args, None), cfg,
-                                      args.dt, threshold=args.threshold)
+    pairs = solver.convergence_study(_resolve_spec(args, None), cfg, args.dt)
     lines = ["dt_coarse,dt_fine,delta_l,delta_m,delta_n,thrust,diverged"]
-    for pair in report.pairs:
+    for pair in pairs:
         m = pair.metrics
         lines.append(",".join([
             _fmt(pair.dt_coarse), _fmt(pair.dt_fine),
             _fmt(m["delta_l"]), _fmt(m["delta_m"]),
             _fmt(m["delta_n"]), _fmt(m["thrust"]),
             "yes" if pair.diverged else "no"]))
-    verdict = "insensitive" if report.insensitive else "sensitive"
-    lines.append(f"verdict,{verdict},threshold,{_fmt(report.threshold)}")
+    insensitive = all(p.worst < args.threshold for p in pairs)
+    verdict = "insensitive" if insensitive else "sensitive"
+    lines.append(f"verdict,{verdict},threshold,{_fmt(args.threshold)}")
     text = "\n".join(lines) + "\n"
     with open(_out_dir(args) / "convergence.txt", "w", encoding="utf-8",
               newline="\n") as fh:

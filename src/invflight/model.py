@@ -59,6 +59,12 @@ ISA = FlightEnvironment()
 _MIN_SAMPLE_ROWS = 5
 
 
+def off_spacing(steps, dt: float) -> bool:
+    """Whether a step of ``steps`` strays from the spacing ``dt`` by more
+    than the one sample-spacing tolerance, 1e-9 of max(``dt``, 1 s)."""
+    return bool(np.max(np.abs(steps - dt)) > 1e-9 * max(dt, 1.0))
+
+
 @dataclass(frozen=True)
 class AeroCoefficients:
     """Dimensionless aerodynamic and stability coefficients.
@@ -241,7 +247,7 @@ class TrajectorySpec:
                                  f"stencil needs at least {_MIN_SAMPLE_ROWS}"))
             else:
                 steps = np.diff(s.t)
-                if np.max(np.abs(steps - self.dt)) > 1e-9 * max(self.dt, 1.0):
+                if off_spacing(steps, self.dt):
                     problems.append(("non_uniform_samples",
                                      "sample times are not uniformly spaced "
                                      f"at dt = {self.dt}"))
@@ -488,7 +494,7 @@ def load_sampled_maneuver(path) -> TrajectorySpec:
     t = data[:, 0]
     steps = np.diff(t)
     dt = float(steps[0])
-    if dt <= 0.0 or np.max(np.abs(steps - dt)) > 1e-9 * max(dt, 1.0):
+    if dt <= 0.0 or off_spacing(steps, dt):
         raise ConfigFileError(
             f"{path}: time column is not uniformly increasing")
     maneuver = SampledManeuver(t=t, x=data[:, 1], y=data[:, 2],

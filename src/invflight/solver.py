@@ -39,6 +39,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, fields, replace
+from itertools import combinations
 
 import numpy as np
 
@@ -78,7 +79,6 @@ __all__ = [
     "KinematicProfiles",
     "SolutionHistory",
     "InitialConditions",
-    "ConvergenceReport",
     "setup",
     "initialize",
     "solve",
@@ -717,38 +717,31 @@ def solve(spec: TrajectorySpec, cfg: AircraftConfig) -> SolutionHistory:
 @dataclass
 class PairComparison:
     """Control-history deviation between two step sizes, measured on the
-    coarser grid relative to each channel's peak magnitude."""
+    coarser grid relative to each channel's peak magnitude; every metric
+    of a pair with a diverged run is ``inf``."""
 
     dt_coarse: float
     dt_fine: float
     metrics: dict
-    diverged: bool
 
     @property
     def worst(self) -> float:
         return max(self.metrics.values())
 
-
-@dataclass
-class ConvergenceReport:
-    pairs: list
-    threshold: float
-    failures: dict
-
     @property
-    def insensitive(self) -> bool:
-        return all((not p.diverged) and p.worst < self.threshold
-                   for p in self.pairs)
+    def diverged(self) -> bool:
+        return math.isinf(self.worst)
 
 
-def convergence_study(spec: TrajectorySpec, cfg: AircraftConfig, dts,
-                      threshold: float) -> ConvergenceReport:
-    """Solve at several step sizes and compare the control histories.
+def convergence_study(spec: TrajectorySpec, cfg: AircraftConfig,
+                      dts) -> list:
+    """Solve at several step sizes and compare the control histories: one
+    ``PairComparison`` per pair of step sizes, finest ``dt_fine`` first.
 
     Histories are compared pairwise on the coarser grid of each pair
     (linear interpolation in time), channel by channel, normalized by
     the larger peak magnitude of the pair. A run whose state goes
-    non-finite is marked diverged instead of aborting the study.
+    non-finite diverges instead of aborting the study.
     """
     dts = list(dts)
     if len(dts) < 2:
@@ -762,38 +755,26 @@ def convergence_study(spec: TrajectorySpec, cfg: AircraftConfig, dts,
                             "step-size study needs an analytic maneuver")])
 
     solutions = {}
-    failures = {}
     for dt in dts:
         try:
             solutions[dt] = solve(replace(spec, dt=dt), cfg)
         except SolverAbort as err:
-            if isinstance(err.cause, NonFiniteState):
-                failures[dt] = err
-            else:
+            if not isinstance(err.cause, NonFiniteState):
                 raise
 
     channels = ("delta_l", "delta_m", "delta_n", "thrust")
     pairs = []
-    ordered = sorted(dts)
-    for j in range(len(ordered)):
-        for i in range(j + 1, len(ordered)):
-            fine, coarse = ordered[j], ordered[i]
-            if fine in failures or coarse in failures:
-                pairs.append(PairComparison(
-                    dt_coarse=coarse, dt_fine=fine,
-                    metrics={ch: math.inf for ch in channels},
-                    diverged=True))
-                continue
-            a = solutions[coarse]
-            b = solutions[fine]
-            metrics = {}
+    for fine, coarse in combinations(sorted(dts), 2):
+        # a pair with a diverged run keeps every metric inf
+        metrics = dict.fromkeys(channels, math.inf)
+        if fine in solutions and coarse in solutions:
+            a, b = solutions[coarse], solutions[fine]
             for ch in channels:
                 ca = getattr(a, ch)
                 cb = np.interp(a.t, b.t, getattr(b, ch))
                 peak = max(float(np.max(np.abs(ca))),
                            float(np.max(np.abs(getattr(b, ch)))), 1e-30)
                 metrics[ch] = float(np.max(np.abs(ca - cb))) / peak
-            pairs.append(PairComparison(dt_coarse=coarse, dt_fine=fine,
-                                        metrics=metrics, diverged=False))
-    return ConvergenceReport(pairs=pairs, threshold=threshold,
-                             failures=failures)
+        pairs.append(PairComparison(dt_coarse=coarse, dt_fine=fine,
+                                    metrics=metrics))
+    return pairs

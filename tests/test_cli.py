@@ -13,6 +13,7 @@ from invflight.cli import (
     EXIT_INPUT,
     EXIT_MISMATCH,
     EXIT_OK,
+    HISTORY_COLUMNS,
     HISTORY_HEADER,
     _fmt,
     _history_columns,
@@ -209,7 +210,7 @@ class TestInverse:
             "--out", str(r), "--angles", "rad")
         cd = read_history(d / "history.csv", "deg")
         cr = read_history(r / "history.csv", "rad")
-        for name in ("delta_n", "theta", "alpha_actual", "T", "p"):
+        for name in ("delta_n", "theta", "alpha_actual", "thrust", "p"):
             assert cr[name] == pytest.approx(cd[name], rel=1e-8, abs=1e-12)
 
     def test_non_finite_inputs_are_input_errors(self, tmp_path, capsys):
@@ -282,12 +283,13 @@ class TestInverse:
         hist.reverse_thrust[[6, 7, 14]] = True
         monkeypatch.setattr(solver, "STATION_BLOCK", 7)
         write_history(hist, tmp_path / "h.csv", "deg")
-        cols = _history_columns(hist, "deg")
-        names = HISTORY_HEADER.split(",")
+        cols = _history_columns(hist, "deg", slice(None))
+        fields = [field for _, field, _ in HISTORY_COLUMNS]
         want = [HISTORY_HEADER + "\n"] + [
-            ",".join([_fmt(cols[n][i]) for n in names[:-1]]
+            ",".join([_fmt(cols[f][i]) for f in fields[:-1]]
                      + [str(cols["flags"][i])]) + "\n"
             for i in range(hist.grid.count)]
+        names = HISTORY_HEADER.split(",")
         assert (tmp_path / "h.csv").read_bytes() == \
             "".join(want).encode("utf-8")
         lines = (tmp_path / "h.csv").read_text().splitlines()
@@ -329,24 +331,29 @@ class TestInverse:
                    str(out)) == EXIT_OK
         cols = read_history(out / "history.csv", "deg")
         assert np.max(np.abs(cols["delta_n"])) < 1e-6
-        assert cols["T"][0] == pytest.approx(11555.0, abs=25.0)
+        assert cols["thrust"][0] == pytest.approx(11555.0, abs=25.0)
         # an explicitly conflicting step size is an input error
         assert run("inverse", "--maneuver-file", str(man), "--dt", "0.02",
                    "--out", str(out)) == EXIT_INPUT
 
+    def test_dt_matches_a_spacing_read_far_from_time_zero(self, tmp_path,
+                                                          capsys):
+        # times from t = 1000 s read as a spacing of 0.0009999999999763531;
+        # the loader took it as uniform (within 1e-9 s), but --dt 1e-3 was
+        # once refused as dt_conflict (within 1e-12 of dt)
+        man = tmp_path / "man.dat"
+        man.write_text("".join(f"{1000 + 0.001 * i:.3f} {0.2 * i!r} 0 "
+                               "-10000 0\n" for i in range(201)))
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert run("inverse", "--maneuver-file", str(man), "--dt", "1e-3",
+                   "--out", str(a)) == EXIT_OK
+        assert run("inverse", "--maneuver-file", str(man),
+                   "--out", str(b)) == EXIT_OK
+        assert (a / "history.csv").read_bytes() == \
+            (b / "history.csv").read_bytes()
+
 
 class TestRoundTrip:
-    def test_replay_columns_in_radians_are_the_solved_arrays(self,
-                                                             roll_1e3):
-        # ``* 1.0`` once copied the angle columns of a radian history
-        # block; alpha_actual is alpha plus the trim shift, a new array
-        # either way
-        cols = _history_columns(roll_1e3, "rad")
-        for name in set(cli._ANGLE_COLUMNS) - {"alpha_actual"}:
-            field = "alpha" if name == "alpha_proc" else name
-            assert np.shares_memory(cols[name], getattr(roll_1e3, field)), \
-                name
-
     def test_replay_flies_the_solved_start_grid_and_lift_curve(
             self, tmp_path, capsys, monkeypatch, mirage):
         # the replay once rebuilt the trim from the scalar density of
@@ -595,16 +602,14 @@ class TestReadHistory:
         path = tmp_path / "h.csv"
         write_history(hist, path, unit)
         cols = read_history(path, unit)
-        names = HISTORY_HEADER.split(",")
         shared = cols["t"].base
-        assert shared.shape == (hist.grid.count, len(names))
+        assert shared.shape == (hist.grid.count, len(HISTORY_COLUMNS))
         block = np.loadtxt(path, delimiter=",", skiprows=1)
         scale = 180.0 / np.pi if unit == "deg" else 1.0
-        for j, name in enumerate(names):
-            assert np.shares_memory(cols[name], shared), name
-            want = block[:, j] / scale if name in cli._ANGLE_COLUMNS \
-                else block[:, j]
-            assert np.array_equal(cols[name], want), name
+        for j, (name, field, angle) in enumerate(HISTORY_COLUMNS):
+            assert np.shares_memory(cols[field], shared), name
+            want = block[:, j] / scale if angle else block[:, j]
+            assert np.array_equal(cols[field], want), name
 
     @pytest.mark.parametrize("column,entry,problem", [
         ("y_g", "nan", "non-finite entry"),
@@ -634,6 +639,28 @@ class TestReadHistory:
         assert run("forward", "--history", str(path), "--angles", "rad",
                    "--out", str(tmp_path)) == EXIT_INPUT
         assert f"line 7: {problem}" in capsys.readouterr().err
+        assert not (tmp_path / "forward.txt").exists()
+
+    @pytest.mark.parametrize("case", ["missing", "renamed"])
+    def test_line_1_must_be_the_header(self, tmp_path, capsys, level_1e2,
+                                       case):
+        # a history without its header once lost station 0 and replayed
+        # to verdict = match, exit 0 (the dt 1e-2 roll: path 1198 m, not
+        # 1200 m); other names were read by position, also exit 0
+        path = tmp_path / "h.csv"
+        write_history(level_1e2, path, "rad")
+        lines = path.read_text().splitlines()
+        if case == "missing":
+            del lines[0]
+        else:
+            lines[0] = lines[0].replace("delta_l,delta_m", "delta_m,delta_l")
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ConfigFileError,
+                           match="line 1: not the history header"):
+            read_history(path, "rad")
+        assert run("forward", "--history", str(path), "--angles", "rad",
+                   "--out", str(tmp_path)) == EXIT_INPUT
+        assert "line 1: not the history header" in capsys.readouterr().err
         assert not (tmp_path / "forward.txt").exists()
 
     def test_header_without_data_rows_is_input_error(self, tmp_path,
@@ -676,6 +703,27 @@ class TestConverge:
         text = (out / "convergence.txt").read_text()
         assert text.startswith("dt_coarse,dt_fine,")
         assert "verdict," in text
+
+    def test_diverged_run_makes_the_study_sensitive(self, tmp_path, capsys,
+                                                    monkeypatch):
+        # every metric of a diverged pair is inf, which no threshold passes
+        from invflight import NonFiniteState, SolverAbort
+
+        real_solve = solver.solve
+
+        def flaky_solve(spec, cfg):
+            if spec.dt == 2e-2:
+                raise SolverAbort("marching loop", 5,
+                                  NonFiniteState("synthetic blow-up"))
+            return real_solve(spec, cfg)
+
+        monkeypatch.setattr(solver, "solve", flaky_solve)
+        assert run("converge", "--maneuver", "level", "--dt", "1e-2", "--dt",
+                   "2e-2", "--threshold", "1e300",
+                   "--out", str(tmp_path)) == EXIT_OK
+        assert (tmp_path / "convergence.txt").read_text().splitlines()[1:] \
+            == ["0.02,0.01,inf,inf,inf,inf,yes",
+                "verdict,sensitive,threshold,1e+300"]
 
     def test_missing_config_file_is_input_error(self, tmp_path, capsys):
         assert run("converge", "--maneuver", "mirage-roll", "--dt", "1e-3",
