@@ -194,8 +194,8 @@ def read_history(path, unit: str):
 
     Line 1 must be ``HISTORY_HEADER``. The rest is read once into one
     ``(n, 21)`` float64 block. Each column is a view of it, and the angle
-    columns are converted in place, so the replay holds its input once.
-    A bad entry or no data row is an error.
+    columns are converted in place, so the file is held once; every entry
+    of every column is checked. A bad entry or no data row is an error.
     """
     with open(path, encoding="utf-8") as fh:
         if fh.readline().rstrip("\r\n") != HISTORY_HEADER:
@@ -288,7 +288,8 @@ def run_inverse(args) -> int:
 
 def run_forward(args) -> int:
     """Re-fly a history file: the start, grid and controls from its
-    columns by field name, the lift curve from the 1-g trim at station 0."""
+    columns by field name, the lift curve from the 1-g trim at station 0.
+    The flight holds copies of the 8 columns it reads, not the block."""
     cfg = _load_aircraft(args)
     cols = read_history(args.history, args.angles)
     t = cols["t"]
@@ -299,13 +300,15 @@ def run_forward(args) -> int:
         raise ConfigFileError("history time column is not uniform")
     controls = fwd.ControlHistory(
         grid=UniformGrid(float(t[0]), dt, len(t)),
-        **{n: cols[n] for n in ("delta_l", "delta_m", "delta_n", "thrust")})
+        **{n: cols[n].copy() for n in ("delta_l", "delta_m", "delta_n",
+                                       "thrust")})
     initial = FlightState(**{f.name: float(cols[f.name][0])
                              for f in fields(FlightState)})
+    track = tuple(cols[n].copy() for n in ("xg", "yg", "zg", "phi"))
+    del cols, t  # frees the parsed block: the flight reads only copies
     # the inverse run's trim-shifted lift curve, from its first station
     ref = _refused(lambda: aero.equilibrium_reference(
         cfg, density(initial.zg), initial.v), where=" at station 0")
-    track = (cols["xg"], cols["yg"], cols["zg"], cols["phi"])
     return _refly(initial, controls, ref.coeffs, track, cfg, args,
                   _out_dir(args) / "forward.txt")
 

@@ -492,9 +492,9 @@ def load_sampled_maneuver(path) -> TrajectorySpec:
             f"{path}: only {len(data)} sample rows; at least "
             f"{_MIN_SAMPLE_ROWS} required")
     t = data[:, 0]
-    steps = np.diff(t)
-    dt = float(steps[0])
-    if dt <= 0.0 or off_spacing(steps, dt):
+    # the mean step: a first step read far from t = 0 is less exact
+    dt = float(t[-1] - t[0]) / (len(t) - 1)
+    if dt <= 0.0 or off_spacing(np.diff(t), dt):
         raise ConfigFileError(
             f"{path}: time column is not uniformly increasing")
     maneuver = SampledManeuver(t=t, x=data[:, 1], y=data[:, 2],
