@@ -33,8 +33,8 @@ def _raise_out_of_range(alt, where=""):
     text = f"{alt:.1f}"
     if 0.0 <= float(text) <= TROPOPAUSE_ALTITUDE:  # rounded into the range
         text = f"{alt}"
-    raise AltitudeOutOfRange(f"altitude {text} m{where} outside "
-                             f"[0, {TROPOPAUSE_ALTITUDE:.0f}] m")
+    raise AltitudeOutOfRange(f"altitude {text} m outside "
+                             f"[0, {TROPOPAUSE_ALTITUDE:.0f}] m{where}")
 
 
 def density(z_g):

@@ -8,12 +8,13 @@ Subcommands:
     converge    solve at several step sizes and compare
 
 Outputs are deterministic: fixed column order, fixed 9-significant-digit
-formatting, so identical runs produce byte-identical files. The angle
-unit flag affects formatting only (angular rates p, q, r are always
-rad/s).
+formatting (15 for the history's t), so identical runs produce
+byte-identical files. The angle unit flag affects formatting only
+(angular rates p, q, r are always rad/s).
 
-Exit codes: 0 success, 1 input error, 2 numerical failure, 3 round-trip
-mismatch.
+Exit codes: 0 success, 1 input error (a start that the set-up or the
+1-g trim refuses included, in every subcommand), 2 numerical failure,
+3 round-trip mismatch.
 """
 
 from __future__ import annotations
@@ -99,12 +100,6 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _load_aircraft(args) -> AircraftConfig:
-    if args.config is None:
-        return validate_config(mirage_iii())
-    return load_config(args.config)
-
-
 def _resolve_spec(args, dt):
     """The trajectory of ``--maneuver`` (at ``dt``, default 1e-4 s) or of
     ``--maneuver-file`` (at its own spacing, which ``dt`` must match)."""
@@ -141,8 +136,10 @@ def _history_columns(hist: solver.SolutionHistory, unit: str, rows):
     return cols
 
 
-# one history row: the value columns as ``_fmt`` writes them, then flags
-_HISTORY_ROW = ",".join(["%.9g"] * (len(HISTORY_COLUMNS) - 1)) + ",%d\n"
+# one history row: t to 15 significant digits, so a grid time t0 + i*dt
+# prints as its decimal however far from 0 it lies (any 15-digit decimal
+# survives a double); the other values as ``_fmt`` writes them, then flags
+_HISTORY_ROW = "%.15g" + ",%.9g" * (len(HISTORY_COLUMNS) - 2) + ",%d\n"
 
 
 def write_history(hist: solver.SolutionHistory, path, unit: str):
@@ -159,13 +156,12 @@ def write_history(hist: solver.SolutionHistory, path, unit: str):
             fh.writelines([_HISTORY_ROW % row for row in rows])
 
 
-def write_summary(hist: solver.SolutionHistory, path, unit: str,
-                  dt: float):
+def write_summary(hist: solver.SolutionHistory, path, unit: str):
     s = _angle_scale(unit)
     ref = hist.reference
     _write_report(path, [
         ("maneuver", hist.maneuver),
-        ("dt_s", _fmt(dt)),
+        ("dt_s", _fmt(hist.grid.dt)),
         ("stations", str(hist.grid.count)),
         ("angle_unit", unit),
         ("c_lift0_equib", _fmt(ref.c_lift0_equib)),
@@ -253,30 +249,20 @@ def _refly(initial, controls, coeffs, track, cfg, args, path) -> int:
     return EXIT_MISMATCH if mismatch else EXIT_OK
 
 
-# flights refused before any integration starts (by ``solver.setup``,
-# or by the 1-g trim at the start): input errors, and the solver's
-# messages name the first station at fault
+# flights refused before any integration starts (by ``solver.setup`` or
+# the 1-g trim at the start): input errors. Errors met later reach
+# ``main`` wrapped in ``SolverAbort``, or as a replay's mismatch
 _REFUSALS = {AltitudeOutOfRange: "altitude_out_of_range",
              ZeroVelocity: "zero_velocity",
              VerticalFlight: "vertical_flight",
              BeyondStall: "beyond_stall"}
 
 
-def _refused(fn, *args, where=""):
-    """``fn(*args)``; a refusal above becomes an input error ending where."""
-    try:
-        return fn(*args)
-    except tuple(_REFUSALS) as err:
-        raise ConfigError([(_REFUSALS[type(err)], f"{err}{where}")]) from None
-
-
-def run_inverse(args) -> int:
-    cfg = _load_aircraft(args)
-    spec = _resolve_spec(args, args.dt)
-    hist = _refused(solver.solve, spec, cfg)
+def run_inverse(args, cfg: AircraftConfig) -> int:
+    hist = solver.solve(_resolve_spec(args, args.dt), cfg)
     out = _out_dir(args)
     write_history(hist, out / "history.csv", args.angles)
-    write_summary(hist, out / "summary.txt", args.angles, spec.dt)
+    write_summary(hist, out / "summary.txt", args.angles)
     print(f"wrote {out / 'history.csv'} and {out / 'summary.txt'}")
     s = _angle_scale(args.angles)
     print(f"max |delta_n| = {_fmt(float(np.abs(hist.delta_n).max()) * s)} "
@@ -286,11 +272,10 @@ def run_inverse(args) -> int:
     return EXIT_OK
 
 
-def run_forward(args) -> int:
+def run_forward(args, cfg: AircraftConfig) -> int:
     """Re-fly a history file: the start, grid and controls from its
     columns by field name, the lift curve from the 1-g trim at station 0.
     The flight holds copies of the 8 columns it reads, not the block."""
-    cfg = _load_aircraft(args)
     cols = read_history(args.history, args.angles)
     t = cols["t"]
     if len(t) < 2:
@@ -307,15 +292,16 @@ def run_forward(args) -> int:
     track = tuple(cols[n].copy() for n in ("xg", "yg", "zg", "phi"))
     del cols, t  # frees the parsed block: the flight reads only copies
     # the inverse run's trim-shifted lift curve, from its first station
-    ref = _refused(lambda: aero.equilibrium_reference(
-        cfg, density(initial.zg), initial.v), where=" at station 0")
+    try:
+        ref = aero.equilibrium_reference(cfg, density(initial.zg), initial.v)
+    except tuple(_REFUSALS) as err:
+        raise type(err)(f"{err} at station 0") from None
     return _refly(initial, controls, ref.coeffs, track, cfg, args,
                   _out_dir(args) / "forward.txt")
 
 
-def run_roundtrip(args) -> int:
-    cfg = _load_aircraft(args)
-    hist = _refused(solver.solve, _resolve_spec(args, args.dt), cfg)
+def run_roundtrip(args, cfg: AircraftConfig) -> int:
+    hist = solver.solve(_resolve_spec(args, args.dt), cfg)
     out = _out_dir(args)
     write_history(hist, out / "history.csv", args.angles)
     return _refly(hist.state_at(0), hist.controls(), hist.reference.coeffs,
@@ -323,13 +309,12 @@ def run_roundtrip(args) -> int:
                   out / "roundtrip.txt")
 
 
-def run_trim(args) -> int:
-    cfg = _load_aircraft(args)
+def run_trim(args, cfg: AircraftConfig) -> int:
     if args.speed <= 0:
         raise ConfigError([("non_positive_speed",
                             f"speed {args.speed} must be > 0")])
-    rho = _refused(density, -args.altitude)
-    ref = _refused(aero.equilibrium_reference, cfg, rho, args.speed)
+    rho = density(-args.altitude)
+    ref = aero.equilibrium_reference(cfg, rho, args.speed)
     # level flight: thrust balances the drag of the trim lift
     c_drag = aero.drag_coefficient(ref.c_lift0_equib, ref.coeffs)
     print(_key_values([
@@ -345,8 +330,7 @@ def run_trim(args) -> int:
     return EXIT_OK
 
 
-def run_converge(args) -> int:
-    cfg = _load_aircraft(args)
+def run_converge(args, cfg: AircraftConfig) -> int:
     pairs = solver.convergence_study(_resolve_spec(args, None), cfg, args.dt)
     lines = ["dt_coarse,dt_fine,delta_l,delta_m,delta_n,thrust,diverged"]
     for pair in pairs:
@@ -463,8 +447,12 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         _check_options(args)
-        return _RUNNERS[args.subcommand](args)
-    except (ConfigError, ConfigFileError, FileNotFoundError, OSError) as err:
+        cfg = (validate_config(mirage_iii()) if args.config is None
+               else load_config(args.config))
+        return _RUNNERS[args.subcommand](args, cfg)
+    except (ConfigError, ConfigFileError, OSError, *_REFUSALS) as err:
+        if type(err) in _REFUSALS:
+            err = ConfigError([(_REFUSALS[type(err)], str(err))])
         print(f"input error: {err}", file=sys.stderr)
         return EXIT_INPUT
     except FlightMechanicsError as err:

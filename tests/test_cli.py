@@ -8,10 +8,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from invflight import cli, solver
+from invflight import cli, dynamics, solver
 from invflight.cli import (
     EXIT_INPUT,
     EXIT_MISMATCH,
+    EXIT_NUMERICAL,
     EXIT_OK,
     HISTORY_COLUMNS,
     HISTORY_HEADER,
@@ -21,7 +22,7 @@ from invflight.cli import (
     read_history,
     write_history,
 )
-from invflight.errors import ConfigFileError
+from invflight.errors import ConfigFileError, ZeroVelocity
 from invflight.model import load_sampled_maneuver
 
 CONFIG = str(Path(__file__).resolve().parents[1] / "configs" / "mirage3.cfg")
@@ -351,7 +352,9 @@ class TestInverse:
         # the loader took it as uniform (within 1e-9 s), but --dt 1e-3 was
         # once refused as dt_conflict (within 1e-12 of dt). From t = 100000 s
         # the first step reads 0.00010000000474974513, and dt taken from it
-        # once refused the file as grid_mismatch; dt is now the mean step
+        # once refused the file as grid_mismatch; dt is now the mean step.
+        # The history then wrote t to 9 digits, every row as 100000, and
+        # its replay was refused as "history time column is not uniform"
         man = tmp_path / "man.dat"
         man.write_text("".join(f"{t0 + dt * i:.{digits}f} {200 * dt * i!r} "
                                "0 -10000 0\n" for i in range(201)))
@@ -362,6 +365,9 @@ class TestInverse:
                    "--out", str(b)) == EXIT_OK
         assert (a / "history.csv").read_bytes() == \
             (b / "history.csv").read_bytes()
+        assert run("forward", "--history", str(b / "history.csv"),
+                   "--out", str(b)) == EXIT_OK
+        assert "verdict = match\n" in (b / "forward.txt").read_text()
 
 
 class TestRoundTrip:
@@ -785,3 +791,56 @@ class TestConverge:
         err = capsys.readouterr().err
         assert "[repeated_step_size] step sizes dt = [0.01, 0.01]" in err
         assert not (tmp_path / "convergence.txt").exists()
+
+
+class TestRefusedStart:
+    @pytest.fixture
+    def small_wing(self, tmp_path):
+        # S = 6 m^2: the 1-g trim of the level start needs 38.16 deg
+        cfg = tmp_path / "small_wing.cfg"
+        cfg.write_text(Path(CONFIG).read_text().replace(
+            "S = 36 ", "S = 6 "))
+        return cfg
+
+    @pytest.mark.parametrize("subcommand", ["inverse", "roundtrip",
+                                            "converge", "forward"])
+    def test_start_past_stall_is_input_error_in_every_subcommand(
+            self, tmp_path, capsys, small_wing, subcommand):
+        # converge once let the refusal through as a numerical failure,
+        # exit 2, where the other subcommands exited 1
+        if subcommand == "forward":
+            run("inverse", "--maneuver", "level", "--dt", "1e-2",
+                "--out", str(tmp_path))
+            given = ["--history", str(tmp_path / "history.csv")]
+        else:
+            given = ["--maneuver", "level", "--dt", "1e-2"]
+            if subcommand == "converge":
+                given += ["--dt", "2e-2"]
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert run(subcommand, *given, "--config", str(small_wing),
+                   "--out", str(out)) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "[beyond_stall]" in err
+        assert "at station 0" in err
+        assert not out.exists()
+
+    def test_failure_inside_the_march_stays_numerical(self, tmp_path,
+                                                      capsys, monkeypatch):
+        # main reads a bare refusal as one raised before any integration;
+        # the march must keep wrapping the errors it meets in SolverAbort
+        real = dynamics.sideslip_accel
+        calls = []
+
+        def failing(*args):
+            calls.append(None)
+            if len(calls) == 10:
+                raise ZeroVelocity("synthetic zero speed")
+            return real(*args)
+
+        monkeypatch.setattr(dynamics, "sideslip_accel", failing)
+        assert run("inverse", "--maneuver", "level", "--dt", "1e-2",
+                   "--out", str(tmp_path)) == EXIT_NUMERICAL
+        assert "numerical failure: marching loop failed at station " in \
+            capsys.readouterr().err
+        assert not (tmp_path / "history.csv").exists()

@@ -165,8 +165,8 @@ class TestSetup:
         # 4 mm below sea level: one decimal would print "-0.0"
         with pytest.raises(AltitudeOutOfRange) as info:
             setup(spec)
-        assert str(info.value) == ("altitude -0.004 m at station 0 "
-                                   "outside [0, 11000] m")
+        assert str(info.value) == ("altitude -0.004 m outside "
+                                   "[0, 11000] m at station 0")
 
     @pytest.mark.parametrize("spec, bound", [
         (maneuver_spec("mirage-roll", 1e-3), 15),
