@@ -47,7 +47,8 @@ from .model import (
     load_sampled_maneuver,
     mirage_iii,
     off_spacing,
-    validate_config,
+    time_step,
+    validate_config,  # not called here: perfbench/child.py reads it from cli
 )
 from .numerics import UniformGrid
 
@@ -278,13 +279,8 @@ def run_forward(args, cfg: AircraftConfig) -> int:
     The flight holds copies of the 8 columns it reads, not the block."""
     cols = read_history(args.history, args.angles)
     t = cols["t"]
-    if len(t) < 2:
-        raise ConfigFileError("history has fewer than 2 stations")
-    dt = float(t[1] - t[0])
-    if dt <= 0 or np.max(np.abs(np.diff(t) - dt)) > 1e-7 * max(dt, 1.0):
-        raise ConfigFileError("history time column is not uniform")
     controls = fwd.ControlHistory(
-        grid=UniformGrid(float(t[0]), dt, len(t)),
+        grid=UniformGrid(float(t[0]), time_step(args.history, t), len(t)),
         **{n: cols[n].copy() for n in ("delta_l", "delta_m", "delta_n",
                                        "thrust")})
     initial = FlightState(**{f.name: float(cols[f.name][0])
@@ -447,8 +443,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         _check_options(args)
-        cfg = (validate_config(mirage_iii()) if args.config is None
-               else load_config(args.config))
+        cfg = mirage_iii() if args.config is None else load_config(args.config)
         return _RUNNERS[args.subcommand](args, cfg)
     except (ConfigError, ConfigFileError, OSError, *_REFUSALS) as err:
         if type(err) in _REFUSALS:

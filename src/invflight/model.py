@@ -2,7 +2,9 @@
 
 Units are SI throughout: kg, m, s, N, rad. Angles are stored in radians
 internally; degrees appear only at I/O boundaries (CLI formatting and the
-summary report). Gravity is a fixed constant, not a field model.
+summary report). Gravity is a fixed constant, not a field model. The
+aircraft is input data: the built-in Mirage-III data set is the package's
+``mirage3.cfg``, a file of the form ``load_config`` reads from any path.
 
 Axis conventions:
     ground axes   x_g north-ish, y_g east-ish, z_g down (altitude = -z_g)
@@ -15,6 +17,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, fields
+from importlib import resources
 from typing import Callable
 
 import numpy as np
@@ -63,6 +66,18 @@ def off_spacing(steps, dt: float) -> bool:
     """Whether a step of ``steps`` strays from the spacing ``dt`` by more
     than the one sample-spacing tolerance, 1e-9 of max(``dt``, 1 s)."""
     return bool(np.max(np.abs(steps - dt)) > 1e-9 * max(dt, 1.0))
+
+
+def time_step(path, t) -> float:
+    """The step of the time column ``t`` of file ``path``: the mean step,
+    since a first step read far from t = 0 is less exact. Fewer than 2
+    rows, or times that do not increase uniformly, are an input error."""
+    if len(t) < 2:
+        raise ConfigFileError(f"{path}: a step needs 2 rows, got {len(t)}")
+    dt = float(t[-1] - t[0]) / (len(t) - 1)
+    if dt <= 0.0 or off_spacing(np.diff(t), dt):
+        raise ConfigFileError(f"{path}: times do not increase uniformly")
+    return dt
 
 
 @dataclass(frozen=True)
@@ -262,43 +277,6 @@ class TrajectorySpec:
         return self
 
 
-def mirage_iii() -> AircraftConfig:
-    """Characteristic data set for the Mirage-III fighter."""
-    return AircraftConfig(
-        mass=7400.0,
-        i_roll=90000.0,
-        i_pitch=54000.0,
-        i_yaw=60000.0,
-        i_yz=0.0,
-        i_zx=1800.0,
-        i_xy=0.0,
-        wing_area=36.0,
-        span_ref=5.25,
-        chord_ref=5.25,
-        aero=AeroCoefficients(
-            c_lift0=0.0,
-            c_lift_alpha=2.204,
-            c_drag0=0.015,
-            k_drag=0.4,
-            c_side_beta=-0.60,
-            c_pitch0=0.0,
-            c_pitch_alpha=-0.17,
-            c_pitch_q=-0.4,
-            c_pitch_dm=-0.45,
-            c_roll_beta=-0.05,
-            c_roll_p=-0.25,
-            c_roll_r=0.06,
-            c_roll_dl=-0.30,
-            c_roll_dn=0.018,
-            c_yaw_beta=0.15,
-            c_yaw_p=0.055,
-            c_yaw_r=-0.7,
-            c_yaw_dl=0.0,
-            c_yaw_dn=-0.085,
-        ),
-    )
-
-
 def validate_config(cfg: AircraftConfig) -> AircraftConfig:
     """Check every aircraft invariant; report all violations at once.
 
@@ -434,6 +412,11 @@ def load_config(path) -> AircraftConfig:
     return validate_config(AircraftConfig(aero=aero, **body))
 
 
+def mirage_iii() -> AircraftConfig:
+    """The built-in Mirage-III data set, the package's ``mirage3.cfg``."""
+    return load_config(resources.files(__package__) / "mirage3.cfg")
+
+
 def _bad_line(path, width: int, delimiter, skip: int):
     """Where and why the first data line after ``skip`` lines is not
     ``width`` finite numbers (``delimiter`` None: commas or spaces)."""
@@ -492,12 +475,6 @@ def load_sampled_maneuver(path) -> TrajectorySpec:
             f"{path}: only {len(data)} sample rows; at least "
             f"{_MIN_SAMPLE_ROWS} required")
     t = data[:, 0]
-    # the mean step: a first step read far from t = 0 is less exact
-    dt = float(t[-1] - t[0]) / (len(t) - 1)
-    if dt <= 0.0 or off_spacing(np.diff(t), dt):
-        raise ConfigFileError(
-            f"{path}: time column is not uniformly increasing")
-    maneuver = SampledManeuver(t=t, x=data[:, 1], y=data[:, 2],
-                               z=data[:, 3], phi=data[:, 4])
-    return TrajectorySpec(duration=float(t[-1] - t[0]), dt=dt,
-                          samples=maneuver, name="sampled").validate()
+    return TrajectorySpec(
+        duration=float(t[-1] - t[0]), dt=time_step(path, t), name="sampled",
+        samples=SampledManeuver(*data.T)).validate()

@@ -25,7 +25,8 @@ from invflight.cli import (
 from invflight.errors import ConfigFileError, ZeroVelocity
 from invflight.model import load_sampled_maneuver
 
-CONFIG = str(Path(__file__).resolve().parents[1] / "configs" / "mirage3.cfg")
+CONFIG = str(Path(__file__).resolve().parents[1] / "src" / "invflight"
+             / "mirage3.cfg")
 
 
 def run(*argv):
@@ -347,14 +348,17 @@ class TestInverse:
     @pytest.mark.parametrize("t0, dt, digits", [(1000, 1e-3, 3),
                                                 (100000, 1e-4, 4)])
     def test_dt_matches_a_spacing_read_far_from_time_zero(
-            self, tmp_path, capsys, t0, dt, digits):
+            self, tmp_path, capsys, monkeypatch, t0, dt, digits):
         # times from t = 1000 s read as a spacing of 0.0009999999999763531;
         # the loader took it as uniform (within 1e-9 s), but --dt 1e-3 was
         # once refused as dt_conflict (within 1e-12 of dt). From t = 100000 s
         # the first step reads 0.00010000000474974513, and dt taken from it
         # once refused the file as grid_mismatch; dt is now the mean step.
         # The history then wrote t to 9 digits, every row as 100000, and
-        # its replay was refused as "history time column is not uniform"
+        # its replay was refused as "history time column is not uniform".
+        # The replay then took its step from the first step of the history,
+        # 4.7e-12 s off the solve's from t = 100000 s; it now flies the
+        # solve's own step
         man = tmp_path / "man.dat"
         man.write_text("".join(f"{t0 + dt * i:.{digits}f} {200 * dt * i!r} "
                                "0 -10000 0\n" for i in range(201)))
@@ -365,9 +369,18 @@ class TestInverse:
                    "--out", str(b)) == EXIT_OK
         assert (a / "history.csv").read_bytes() == \
             (b / "history.csv").read_bytes()
+        flown = []
+        simulate = cli.fwd.simulate
+
+        def spy(initial, controls, cfg, coeffs):
+            flown.append(controls.grid.dt)
+            return simulate(initial, controls, cfg, coeffs)
+
+        monkeypatch.setattr(cli.fwd, "simulate", spy)
         assert run("forward", "--history", str(b / "history.csv"),
                    "--out", str(b)) == EXIT_OK
         assert "verdict = match\n" in (b / "forward.txt").read_text()
+        assert flown == [load_sampled_maneuver(man).dt]
 
 
 class TestRoundTrip:
@@ -711,6 +724,17 @@ class TestReadHistory:
         err = capsys.readouterr().err
         assert "no data rows" in err
         assert "Warning" not in err
+        assert not (tmp_path / "forward.txt").exists()
+
+    def test_one_data_row_is_input_error(self, tmp_path, capsys, level_1e2):
+        # a replay needs a time step, so at least two stations
+        path = tmp_path / "h.csv"
+        write_history(level_1e2, path, "rad")
+        path.write_text("".join(path.read_text().splitlines(True)[:2]))
+        assert run("forward", "--history", str(path), "--angles", "rad",
+                   "--out", str(tmp_path)) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert f"{path}: a step needs 2 rows, got 1" in err
         assert not (tmp_path / "forward.txt").exists()
 
 

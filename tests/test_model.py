@@ -16,8 +16,6 @@ from invflight import (
 )
 from invflight.model import CONFIG_KEYS, SampledManeuver
 
-CONFIG_PATH = Path(__file__).resolve().parents[1] / "configs" / "mirage3.cfg"
-
 
 class TestValidateConfig:
     def test_mirage_dataset_is_valid(self, mirage):
@@ -68,8 +66,13 @@ class TestValidateConfig:
 
 
 class TestConfigFile:
-    def test_packaged_mirage_file_round_trips(self, mirage):
-        assert load_config(CONFIG_PATH) == mirage
+    def test_packaged_mirage_values_are_pinned(self, mirage):
+        # the values criterion 3's 45.8 deg rudder peak rests on: the yaw
+        # balance needs mass (trim), the inertias, the x-z product and
+        # the rudder's yaw effectiveness
+        assert (mirage.mass, mirage.i_roll, mirage.i_pitch, mirage.i_yaw,
+                mirage.i_zx, mirage.aero.c_yaw_dn) == (
+                    7400.0, 90000.0, 54000.0, 60000.0, 1800.0, -0.085)
 
     def test_unknown_key_cites_line(self, tmp_path):
         path = tmp_path / "bad.cfg"
@@ -94,6 +97,19 @@ class TestConfigFile:
         path.write_text("m = 7400\n")
         with pytest.raises(ConfigFileError, match="missing keys"):
             load_config(path)
+
+    def test_every_package_data_file_is_listed(self):
+        # an install copies only the .py files of the package unless
+        # pyproject.toml lists the others, and the built-in aircraft is one
+        tomllib = pytest.importorskip("tomllib")  # Python 3.11 on
+        root = Path(__file__).resolve().parents[1]
+        with open(root / "pyproject.toml", "rb") as fh:
+            listed = tomllib.load(fh)["tool"]["setuptools"]["package-data"]
+        package = root / "src" / "invflight"
+        shipped = {str(f.relative_to(package)) for f in package.rglob("*")
+                   if f.is_file() and f.suffix not in (".py", ".pyc")}
+        # each shipped file is listed, and each listed file is shipped
+        assert shipped == set(listed["invflight"])
 
     def test_key_table_covers_all_fields(self, mirage):
         # every config field is reachable from a file key
