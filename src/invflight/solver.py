@@ -4,12 +4,12 @@ Given the four prescribed constraint histories (three ground-axes
 coordinates plus bank angle), the solver produces the control time
 histories and all remaining flight variables:
 
-  setup         turn the trajectory into per-station kinematic profiles:
-                speed, flight-path angles, bank, air density, and their
-                time derivatives (trajectory derivatives analytic when
-                available, finite differences otherwise; speed
-                derivatives always by finite differences), each written
-                into its column of the stage table as it is computed;
+  setup         check the whole trajectory, keep its station coordinates,
+                and compute its kinematic profiles a block of stations at
+                a time as the march reads them: speed, flight-path angles,
+                bank, air density, and their time derivatives (trajectory
+                derivatives analytic when available, finite differences
+                otherwise; speed derivatives always by finite differences);
   initialize    equilibrium start: the lift-curve zero moved to the 1-g
                 trim, zero airflow angles, pitch and heading equal to the
                 path angles, thrust from the axial balance, body rates from
@@ -40,6 +40,7 @@ import math
 import struct
 from dataclasses import dataclass, fields, replace
 from itertools import combinations
+from typing import Callable
 
 import numpy as np
 
@@ -158,156 +159,195 @@ _STAGE_COLUMNS = ("v", "v_dot", "v_ddot", "theta_w", "theta_w_dot",
                   "theta_w_ddot", "psi_w", "psi_w_dot", "psi_w_ddot",
                   "phi", "phi_dot", "phi_ddot", "rho", "rho_dot")
 
+# stations per block of the stage table, per call of the deflection
+# recovery after the march, and per formatted write of the history file
+STATION_BLOCK = 2048
+
 
 @dataclass
 class KinematicProfiles:
-    """Per-station kinematic quantities, precomputed on a half-step grid.
+    """Per-station kinematic quantities on a half-step grid, computed a
+    block of stations at a time.
 
     The marching scheme evaluates stage rates at station times and at
-    the midpoints between stations, so every channel is stored on a grid
-    of spacing dt/2 with 2*count - 1 points; stations are the even
-    entries. The 14 half-step fields are column views of one C-contiguous
-    float64 ``table``, which ``setup`` allocates first and fills a column
-    at a time. Ground coordinates are kept at stations only, as the rows
-    of one ``(3, count)`` block (they go verbatim into the solution
-    history).
+    the midpoints between stations, so every channel lives on a grid of
+    spacing dt/2 with 2*count - 1 points; stations are the even points.
+    Only the ground coordinates are kept, as the rows of one
+    ``(3, count)`` block of station values (they go verbatim into the
+    solution history). ``stage_rows`` computes the rest from
+    ``channel(name, k, a, b)``, the k-th time derivative of a trajectory
+    channel on points a..b-1 of its grid, which has ``scale`` points a
+    station: 2 for analytic channels, 1 for sampled ones.
     """
 
     stations: UniformGrid
-    # station arrays
     xg: np.ndarray
     yg: np.ndarray
     zg: np.ndarray
-    # the stage table, and its columns (stage evaluation)
-    table: np.ndarray
-    v: np.ndarray
-    v_dot: np.ndarray
-    v_ddot: np.ndarray
-    theta_w: np.ndarray
-    theta_w_dot: np.ndarray
-    theta_w_ddot: np.ndarray
-    psi_w: np.ndarray
-    psi_w_dot: np.ndarray
-    psi_w_ddot: np.ndarray
-    phi: np.ndarray
-    phi_dot: np.ndarray
-    phi_ddot: np.ndarray
-    rho: np.ndarray
-    rho_dot: np.ndarray
+    channel: Callable
+    scale: int
 
-    def station(self, arr: np.ndarray) -> np.ndarray:
-        """Station-level view of a half-step array."""
-        return arr[::2]
+    def stage_rows(self):
+        """The stage table a block at a time: for stations s..s+k, k <=
+        ``STATION_BLOCK``, the C-contiguous ``(2k+1, 14)`` float64 half-step
+        rows 2s..2s+2k, 112 bytes a row in the stage rate function's unpack
+        order. Consecutive blocks share their boundary row; nothing is
+        computed before the first ``next``."""
+        carry = -0.0
+        for s in range(0, self.stations.count - 1, STATION_BLOCK):
+            table, carry = self._block(s, carry)
+            yield table
+            del table  # the next block is built without this one
 
-    def stage_rows(self) -> np.ndarray:
-        """The stage table itself, not a copy: a row per half step, 112
-        bytes, in the order the stage rate function unpacks it."""
-        return self.table
+    def _block(self, s, carry, ground=None):
+        """Stations s..s+k as ``(table, carry)``, ``carry`` the azimuth
+        unwrap's running correction at station s, then at s+k. Given
+        ``ground``, the refusal pass instead: write the block's station
+        coordinates into it and stop after the refusals.
 
+        Each row is the whole-run computation's, bit for bit: numpy's
+        elementwise functions give the same bits on any chunk, 4 points
+        each side of the block feed every stencil at its rows (at the ends
+        of the run the stencils take their one-sided forms, as on the
+        whole grid), and the unwrap sums its corrections in sequence from
+        the carried sum, as ``np.unwrap``'s ``cumsum`` does.
+        """
+        n, scale = self.stations.count, self.scale
+        e = min(s + STATION_BLOCK, n - 1)
+        lo, hi = scale * s, scale * e
+        a = max(lo - 4, 0)
+        own = slice(lo - a, hi + 1 - a)
+        h = self.stations.dt / scale
 
-def _check_altitude(z, scale):
-    alt = -z
-    bad = (alt < 0.0) | (alt > TROPOPAUSE_ALTITUDE)
-    if np.any(bad):
-        idx = int(np.argmax(bad))
-        _raise_out_of_range(float(alt[idx]), f" at station {idx // scale}")
+        def traj(name, k):  # on the block and the stencils' points
+            return self.channel(name, k, a, min(hi + 5, scale * (n - 1) + 1))
+
+        def station(bad):  # of the first True
+            return (lo + int(np.argmax(bad))) // scale
+
+        z = traj("z", 0)[own]
+        out = (z > 0.0) | (z < -TROPOPAUSE_ALTITUDE)  # altitude -z
+        if np.any(out):
+            _raise_out_of_range(float(-z[np.argmax(out)]),
+                                f" at station {station(out)}")
+        xd, yd, zd = traj("x", 1), traj("y", 1), traj("z", 1)
+        speed = np.sqrt(xd * xd + yd * yd + zd * zd)  # the stencils' too
+        v = speed[own]
+        if np.any(v <= 0.0):
+            raise ZeroVelocity(f"zero speed at station {station(v <= 0.0)}")
+        xd, yd, zd = xd[own], yd[own], zd[own]
+        stw = np.clip(-zd / v, -1.0, 1.0)
+        elevation = np.arcsin(stw)
+        ctw = np.cos(elevation)
+        if np.any(ctw < _VERTICAL_TOL):
+            raise VerticalFlight("vertical flight path at station "
+                                 f"{station(ctw < _VERTICAL_TOL)}")
+        if ground is not None:
+            for row, c in zip(ground, (traj("x", 0)[own], traj("y", 0)[own],
+                                       z)):
+                row[s:e + 1] = c[::scale]
+            return None
+
+        table = np.empty((2 * (e - s) + 1, len(_STAGE_COLUMNS)))
+        (v_col, v_dot, v_ddot, theta_w, theta_w_dot, theta_w_ddot, psi_w,
+         psi_w_dot, psi_w_ddot, phi, phi_dot, phi_ddot, rho,
+         rho_dot) = table[::2 // scale].T
+        v_col[:], theta_w[:] = v, elevation
+        del elevation
+        for k, col in enumerate((phi, phi_dot, phi_ddot)):
+            col[:] = traj("phi", k)[own]
+        v_dot[:] = fd_first_derivative(speed, h)[own]
+        v_ddot[:] = fd_second_derivative(speed, h)[own]
+        del speed
+        # the flight-path angles: the elevation chain differentiates the
+        # vertical velocity resolution, the azimuth chain the two horizontal
+        # ones combined, which stays valid for any heading. Transcendentals
+        # take contiguous arrays, never the strided columns: numpy may run
+        # another loop there, with other last bits (arctan2 does, numpy 2.4
+        # on AVX-512). The azimuth is ``np.unwrap``'s, step for step; the
+        # carried sum starts at -0.0, which adds nothing to any float
+        raw = np.arctan2(yd, xd)
+        del xd, yd
+        dd = np.diff(raw)
+        fix = np.mod(dd + math.pi, 2.0 * math.pi) - math.pi
+        np.copyto(fix, math.pi, where=(fix == -math.pi) & (dd > 0))
+        fix -= dd
+        fix[np.abs(dd) < math.pi] = 0.0
+        total = np.cumsum(np.concatenate(([carry], fix)))
+        psi_w[:] = azimuth = raw + total
+        del raw, dd, fix
+        spw, cpw = np.sin(azimuth), np.cos(azimuth)
+        del azimuth
+        rho[:] = density(z)
+        rho_dot[:] = density_gradient(z) * zd
+        del z, zd
+        vctw = v * ctw
+        theta_w_dot[:] = -(traj("z", 2)[own] + v_dot * stw) / vctw
+        theta_w_ddot[:] = -(traj("z", 3)[own] + v_ddot * stw
+                            + 2.0 * v_dot * ctw * theta_w_dot
+                            - v * stw * theta_w_dot * theta_w_dot) / vctw
+        xdd, ydd = traj("x", 2)[own], traj("y", 2)[own]
+        psi_w_dot[:] = (cpw * ydd - spw * xdd) / vctw
+        psi_w_ddot[:] = ((-spw * ydd - cpw * xdd) * psi_w_dot
+                         + cpw * traj("y", 3)[own] - spw * traj("x", 3)[own]
+                         - psi_w_dot * (v_dot * ctw - v * stw * theta_w_dot)
+                         ) / vctw
+        if scale == 1:  # samples: linear midpoint interpolation
+            for col in table.T:
+                even = col[::2]
+                col[1::2] = 0.5 * (even[:-1] + even[1:])
+        return table, total[-1]
 
 
 def setup(spec: TrajectorySpec) -> KinematicProfiles:
     """Turn a trajectory prescription into kinematic profiles.
 
-    The stage table is allocated first, and each profile is written into
-    its column as soon as it is computed; later formulas read earlier
-    profiles back through the columns. Each trajectory derivative is
-    evaluated where a formula needs it and dropped after its last use.
-    Analytic channels are evaluated on the half-step grid, every row of
-    the table. Sampled channels are differentiated on the station grid,
-    the even rows, and each odd row then gets the mean of its neighbours.
+    Validates the spec, then block by block fills the station coordinates
+    and checks the altitude, speed and path elevation, computing nothing
+    else. A refusal is raised before any station is marched, as a check
+    of the whole run raises it: the first station out of the atmosphere,
+    else the first at zero speed, else the first on a vertical path.
+    Analytic channels are evaluated at every half step. Sampled channels
+    are differentiated on the stations, the even rows, and each odd row
+    then gets the mean of its neighbours.
     """
     spec.validate()
     n = spec.station_count
     dt = spec.dt
-    # what setup keeps, the stage table and one block of the three station
-    # coordinates, comes before any temporary, so that no kept array sits
-    # among the freed temporaries and keeps their pages resident
-    table = np.empty((2 * n - 1, len(_STAGE_COLUMNS)))
-    ground = np.empty((3, n))  # x, y, z
     if spec.analytic is not None:
         man = spec.analytic
         for name in "xyz":
             if getattr(man, name).d3 is None:
                 raise ConfigError([("missing_derivative",
                                     f"analytic channel {name} needs d3")])
-        t0, h, scale = 0.0, 0.5 * dt, 2
-        tf = h * np.arange(2 * n - 1)
+        t0, scale = 0.0, 2
 
-        def traj(name, k):  # k-th time derivative of a channel
+        def channel(name, k, a, b):
             ch = getattr(man, name)
+            tf = 0.5 * dt * np.arange(a, b)
             return np.asarray((ch.f, ch.d1, ch.d2, ch.d3)[k](tf), dtype=float)
     else:
-        s = spec.samples
-        t0, h, scale = float(s.t[0]), dt, 1
+        samples = spec.samples
+        t0, scale = float(samples.t[0]), 1
         fd = (None, fd_first_derivative, fd_second_derivative,
               fd_third_derivative)
 
-        def traj(name, k):
-            a = np.asarray(getattr(s, name), dtype=float)
-            return fd[k](a, dt) if k else a
+        def channel(name, k, a, b):
+            arr = np.asarray(getattr(samples, name)[a:b], dtype=float)
+            return fd[k](arr, dt) if k else arr
 
-    (v, v_dot, v_ddot, theta_w, theta_w_dot, theta_w_ddot, psi_w, psi_w_dot,
-     psi_w_ddot, phi, phi_dot, phi_ddot, rho, rho_dot) = table[::2 // scale].T
-    for k, col in enumerate((phi, phi_dot, phi_ddot)):
-        col[:] = traj("phi", k)
-    z = traj("z", 0)
-    _check_altitude(z, scale)
-    xd, yd, zd = traj("x", 1), traj("y", 1), traj("z", 1)
-    v[:] = np.sqrt(xd * xd + yd * yd + zd * zd)
-    for row, a in zip(ground, (traj("x", 0), traj("y", 0), z)):
-        row[:] = a[::scale]
-    # the flight-path angles: the elevation chain differentiates the
-    # vertical velocity resolution, the azimuth chain the two horizontal
-    # ones combined, which stays valid for any heading. Transcendentals
-    # take contiguous arrays, never the strided columns: numpy may run
-    # another loop there, with other last bits (arctan2 does, numpy 2.4
-    # on AVX-512)
-    psi_w[:] = azimuth = np.unwrap(np.arctan2(yd, xd))
-    del xd, yd
-    spw, cpw = np.sin(azimuth), np.cos(azimuth)
-    del azimuth
-    v_dot[:] = fd_first_derivative(v, h)
-    v_ddot[:] = fd_second_derivative(v, h)
-    if np.any(v <= 0.0):
-        idx = int(np.argmax(v <= 0.0))
-        raise ZeroVelocity(f"zero speed at station {idx // scale}")
-    stw = np.clip(-zd / v, -1.0, 1.0)
-    theta_w[:] = elevation = np.arcsin(stw)
-    ctw = np.cos(elevation)
-    del elevation
-    if np.any(ctw < _VERTICAL_TOL):
-        idx = int(np.argmax(ctw < _VERTICAL_TOL))
-        raise VerticalFlight(f"vertical flight path at station {idx // scale}")
-    rho[:] = density(z)
-    rho_dot[:] = density_gradient(z) * zd
-    del z, zd
-    vctw = v * ctw
-    theta_w_dot[:] = -(traj("z", 2) + v_dot * stw) / vctw
-    theta_w_ddot[:] = -(traj("z", 3) + v_ddot * stw
-                        + 2.0 * v_dot * ctw * theta_w_dot
-                        - v * stw * theta_w_dot * theta_w_dot) / vctw
-    xdd, ydd = traj("x", 2), traj("y", 2)
-    psi_w_dot[:] = (cpw * ydd - spw * xdd) / vctw
-    psi_w_ddot[:] = ((-spw * ydd - cpw * xdd) * psi_w_dot
-                     + cpw * traj("y", 3) - spw * traj("x", 3)
-                     - psi_w_dot * (v_dot * ctw - v * stw * theta_w_dot)
-                     ) / vctw
-    if scale == 1:  # samples: linear midpoint interpolation
-        for col in table.T:
-            even = col[::2]
-            col[1::2] = 0.5 * (even[:-1] + even[1:])
-    return KinematicProfiles(
-        stations=UniformGrid(t0, dt, n),
-        **dict(zip(("xg", "yg", "zg"), ground)),
-        table=table, **dict(zip(_STAGE_COLUMNS, table.T)))
+    ground = np.empty((3, n))  # x, y, z
+    profiles = KinematicProfiles(UniformGrid(t0, dt, n), *ground, channel,
+                                 scale)
+    first = {}
+    for s in range(0, n - 1, STATION_BLOCK):
+        try:
+            profiles._block(s, None, ground)
+        except (ZeroVelocity, VerticalFlight) as err:
+            first.setdefault(type(err), err)
+    if first:
+        raise first.get(ZeroVelocity) or first[VerticalFlight]
+    return profiles
 
 
 # ----------------------------------------------------------------------
@@ -338,14 +378,14 @@ def initialize(profiles: KinematicProfiles,
     writes the deflections.
     """
     validate_config(cfg)
+    row = dict(zip(_STAGE_COLUMNS, next(profiles.stage_rows())[0].tolist()))
     try:
-        ref = aero.equilibrium_reference(cfg, float(profiles.rho[0]),
-                                         float(profiles.v[0]))
+        ref = aero.equilibrium_reference(cfg, row["rho"], row["v"])
     except (ZeroVelocity, BeyondStall) as err:
         raise type(err)(f"{err} at station 0") from None
-    phi0, phi_dot0 = float(profiles.phi[0]), float(profiles.phi_dot[0])
-    theta0 = theta_w0 = float(profiles.theta_w[0])
-    psi0 = psi_w0 = float(profiles.psi_w[0])
+    phi0, phi_dot0 = row["phi"], row["phi_dot"]
+    theta0 = theta_w0 = row["theta_w"]
+    psi0 = psi_w0 = row["psi_w"]
 
     c_lift = ref.c_lift0_equib
     c_drag = aero.drag_coefficient(c_lift, ref.coeffs)
@@ -353,15 +393,14 @@ def initialize(profiles: KinematicProfiles,
                                                  0.0, 0.0)
     thrust0 = dynamics.thrust_from_force_balance(
         mass=cfg.mass, g=ISA.g, s_ref=cfg.wing_area, qbar=ref.qbar,
-        v_dot=float(profiles.v_dot[0]), alpha=0.0, beta=0.0,
+        v_dot=row["v_dot"], alpha=0.0, beta=0.0,
         theta=theta0, phi=phi0, c_x=c_x, c_y=c_y, c_z=c_z)
 
     theta_dot0, psi_dot0 = kinematics.attitude_rates(
         alpha=0.0, beta=0.0, phi=phi0,
         alpha_dot=0.0, beta_dot=0.0, phi_dot=phi_dot0,
         theta=theta0, psi=psi0, theta_w=theta_w0, psi_w=psi_w0,
-        theta_w_dot=float(profiles.theta_w_dot[0]),
-        psi_w_dot=float(profiles.psi_w_dot[0]))
+        theta_w_dot=row["theta_w_dot"], psi_w_dot=row["psi_w_dot"])
     p0, q0, r0 = kinematics.body_rates_from_euler(phi0, theta0, phi_dot0,
                                                   theta_dot0, psi_dot0)
     return InitialConditions(
@@ -394,16 +433,13 @@ CASCADE_SWEEPS = 4
 _STAGE_ROW = struct.Struct("14d")
 _STATION_RECORD = struct.Struct("15d")
 
-# stations per call of the deflection recovery after the march, and per
-# formatted write of the history file
-STATION_BLOCK = 2048
-
 
 def _make_rate_function(rows, t0, half_dt, cfg, coeffs, lag):
     """Stage rate function over the 12-variable state.
 
-    ``rows`` is the table of ``KinematicProfiles.stage_rows()``; a stage
-    unpacks its half-step row from the table's buffer into floats.
+    ``rows`` is a block of ``KinematicProfiles.stage_rows()`` whose first
+    row is at time ``t0``; a stage unpacks its half-step row from the
+    block's buffer into floats.
 
     The differentiated force balances need the angular accelerations
     (p', q', r'), which follow from the attitude accelerations they feed
@@ -620,8 +656,9 @@ def solve(spec: TrajectorySpec, cfg: AircraftConfig) -> SolutionHistory:
     stage average, and the auxiliary rates are re-evaluated algebraically
     at the new station as the next step's k1. The largest gap between
     the averaged and the re-evaluated angular accelerations is recorded
-    as ``rate_gap``. The march never reads the deflections, so after it
-    they are recovered from the moment balance a block of stations a call.
+    as ``rate_gap``. It reads the stage table a block of stations at a
+    time. The march never reads the deflections, so after it they are
+    recovered from the moment balance a block of stations a call.
     """
     profiles = setup(spec)
     init = initialize(profiles, cfg)
@@ -630,9 +667,11 @@ def solve(spec: TrajectorySpec, cfg: AircraftConfig) -> SolutionHistory:
     grid = profiles.stations
     n, dt, t0 = grid.count, grid.dt, grid.t0
 
-    rows = profiles.stage_rows()
     lag = [0.0, 0.0, 0.0]
-    rate_fn = _make_rate_function(rows, t0, 0.5 * dt, cfg, coeffs, lag)
+    # built before the arrays below, its temporaries never sit on top of
+    # them: a one-block solve peaks here
+    blocks = profiles.stage_rows()
+    rows = next(blocks)
 
     # a station's record: state, (p', q', r'), deflections; the march
     # packs the first 15, the recovery pass fills the last 3
@@ -642,55 +681,65 @@ def solve(spec: TrajectorySpec, cfg: AircraftConfig) -> SolutionHistory:
              "delta_l", "delta_m", "delta_n")
     block = np.empty((n, len(names)))
     pack_station, stride = _STATION_RECORD.pack_into, block.strides[0]
+    # what the history and the recovery need of the profiles, taken from
+    # each block's station rows before the block is dropped
+    kept = {k: np.empty(n) for k in ("v", "phi", "theta_w", "psi_w")}
+    qbar = np.empty(n)
 
     y = init.y0
-
-    # station 0: the rates at the initial state, seeded with zero
-    # angular accelerations, are step 0's k1
-    rates_new = rate_fn(t0, y)
     pack_station(block, 0, *y, 0.0, 0.0, 0.0)
 
     max_gap = 0.0
-    for i in range(n - 1):
-        t_n = t0 + i * dt
-        try:
-            y_new, ks = rk4_step(rate_fn, t_n, y, dt, rates_new)
-            k1, k2, k3, k4 = ks
-            p_avg = (k1[9] + 2.0 * (k2[9] + k3[9]) + k4[9]) / 6.0
-            q_avg = (k1[10] + 2.0 * (k2[10] + k3[10]) + k4[10]) / 6.0
-            r_avg = (k1[11] + 2.0 * (k2[11] + k3[11]) + k4[11]) / 6.0
+    s = 0
+    while rows is not None:
+        e = s + len(rows) // 2
+        col = dict(zip(_STAGE_COLUMNS, rows[::2].T))
+        for k, a in kept.items():
+            a[s:e + 1] = col[k]
+        qbar[s:e + 1] = aero.dynamic_pressure(col["rho"], col["v"])
+        rate_fn = _make_rate_function(rows, t0 + s * dt, 0.5 * dt, cfg,
+                                      coeffs, lag)
+        if s == 0:
+            # station 0: the rates at the initial state, seeded with zero
+            # angular accelerations, are step 0's k1
+            rates_new = rate_fn(t0, y)
+        for i in range(s, e):
+            t_n = t0 + i * dt
+            try:
+                y_new, ks = rk4_step(rate_fn, t_n, y, dt, rates_new)
+                k1, k2, k3, k4 = ks
+                p_avg = (k1[9] + 2.0 * (k2[9] + k3[9]) + k4[9]) / 6.0
+                q_avg = (k1[10] + 2.0 * (k2[10] + k3[10]) + k4[10]) / 6.0
+                r_avg = (k1[11] + 2.0 * (k2[11] + k3[11]) + k4[11]) / 6.0
 
-            if not all(map(math.isfinite, y_new)):
-                raise NonFiniteState("integrated state went non-finite")
+                if not all(map(math.isfinite, y_new)):
+                    raise NonFiniteState("integrated state went non-finite")
 
-            # algebraic re-evaluation at the new station (the averaged
-            # angular accelerations serve as the lagged values); the same
-            # time, state and seed make it the next step's k1, and it
-            # leaves in ``lag`` what that k1 would leave
-            lag[0], lag[1], lag[2] = p_avg, q_avg, r_avg
-            rates_new = rate_fn(t_n + dt, y_new)
-            gap = max(abs(rates_new[9] - p_avg), abs(rates_new[10] - q_avg),
-                      abs(rates_new[11] - r_avg))
-            if gap > max_gap:
-                max_gap = gap
-        except FlightMechanicsError as err:
-            raise SolverAbort("marching loop", i + 1, err) from err
+                # algebraic re-evaluation at the new station (the averaged
+                # angular accelerations serve as the lagged values); the
+                # same time, state and seed make it the next step's k1,
+                # also across a block boundary, whose row both blocks
+                # hold, and it leaves in ``lag`` what that k1 would leave
+                lag[0], lag[1], lag[2] = p_avg, q_avg, r_avg
+                rates_new = rate_fn(t_n + dt, y_new)
+                gap = max(abs(rates_new[9] - p_avg),
+                          abs(rates_new[10] - q_avg),
+                          abs(rates_new[11] - r_avg))
+                if gap > max_gap:
+                    max_gap = gap
+            except FlightMechanicsError as err:
+                raise SolverAbort("marching loop", i + 1, err) from err
 
-        pack_station(block, stride * (i + 1), *y_new, p_avg, q_avg, r_avg)
-        y = y_new
-
-    # keep what the history needs, then drop the stage table (the rate
-    # function holds it too), so the recovery adds nothing to the peak
-    v, phi, theta_w, psi_w = (profiles.station(a).copy() for a in
-                              (profiles.v, profiles.phi, profiles.theta_w,
-                               profiles.psi_w))
-    qbar = aero.dynamic_pressure(profiles.station(profiles.rho), v)
-    ground = {k: getattr(profiles, k) for k in ("xg", "yg", "zg")}
-    del profiles, rows, rate_fn
+            pack_station(block, stride * (i + 1), *y_new, p_avg, q_avg,
+                         r_avg)
+            y = y_new
+        s = e
+        del rows, col, rate_fn  # the next block is built without this one
+        rows = next(blocks, None)
 
     out = dict(zip(names, block.T))
     inputs = [out[k] for k in ("p_dot", "q_dot", "r_dot", "p", "q", "r",
-                               "alpha", "beta")] + [v, qbar]
+                               "alpha", "beta")] + [kept["v"], qbar]
     # setup (V > 0) and validate_config (the aircraft data) have made
     # every check the recovery makes, so it cannot fail here
     for lo in range(0, n, STATION_BLOCK):
@@ -702,11 +751,11 @@ def solve(spec: TrajectorySpec, cfg: AircraftConfig) -> SolutionHistory:
 
     return SolutionHistory(
         grid=grid, maneuver=spec.name, reference=init.reference,
-        t=grid.times(), v=v, phi=phi, theta_w=theta_w, psi_w=psi_w,
+        t=grid.times(), xg=profiles.xg, yg=profiles.yg, zg=profiles.zg,
         stall=np.abs(out["alpha"] + init.reference.alpha_shift)
         > aero.STALL_ALPHA,
         reverse_thrust=out["thrust"] < 0.0, rate_gap=max_gap,
-        **ground, **out)
+        **kept, **out)
 
 
 # ----------------------------------------------------------------------

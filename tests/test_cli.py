@@ -23,7 +23,7 @@ from invflight.cli import (
     write_history,
 )
 from invflight.errors import ConfigFileError, ZeroVelocity
-from invflight.model import load_sampled_maneuver
+from invflight.model import AnalyticManeuver, load_sampled_maneuver
 
 CONFIG = str(Path(__file__).resolve().parents[1] / "src" / "invflight"
              / "mirage3.cfg")
@@ -848,6 +848,36 @@ class TestRefusedStart:
         assert "[beyond_stall]" in err
         assert "at station 0" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("subcommand", ["inverse", "roundtrip",
+                                            "converge"])
+    def test_late_exit_from_the_atmosphere_is_refused_before_the_march(
+            self, tmp_path, capsys, monkeypatch, subcommand):
+        # a climb at 10 m/s from 10,989.975 m leaves the 0-11 km band at
+        # t = 1.0025 s: half step 201, station 100 at dt 1e-2, in the
+        # fifteenth block of 7 stations. Setup checks every block before
+        # the march computes its first stage
+        monkeypatch.setattr(solver, "STATION_BLOCK", 7)
+        monkeypatch.setitem(solver.MANEUVERS, "late-exit", AnalyticManeuver(
+            x=solver._linear(200.0), y=solver._linear(0.0),
+            z=solver._linear(-10.0, -10989.975), phi=solver._linear(0.0)))
+        real, stages = dynamics.thrust_rate, []
+
+        def counting(*args):
+            stages.append(None)
+            return real(*args)
+
+        monkeypatch.setattr(dynamics, "thrust_rate", counting)
+        given = ["--maneuver", "late-exit", "--dt", "1e-2"]
+        if subcommand == "converge":
+            given += ["--dt", "2e-2"]
+        out = tmp_path / "out"
+        assert run(subcommand, *given, "--out", str(out)) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "[altitude_out_of_range]" in err
+        assert err.rstrip().endswith("at station 100")
+        assert not out.exists()
+        assert stages == []
 
     def test_failure_inside_the_march_stays_numerical(self, tmp_path,
                                                       capsys, monkeypatch):

@@ -10,6 +10,8 @@ from invflight import (
     ConfigError,
     FlightState,
     TrajectorySpec,
+    VerticalFlight,
+    ZeroVelocity,
     convergence_study,
     initialize,
     maneuver_spec,
@@ -50,19 +52,25 @@ def constant_channel(value):
 
 
 def helix_spec(radius=2000.0, omega=0.05, sink=10.0, depth=5000.0,
-               duration=6.0, dt=1e-2):
+               duration=6.0, dt=1e-2, phase=0.0):
+    """A helix flown counter-clockwise seen from above, whose path
+    azimuth is ``omega * t + phase + pi/2``."""
     def make(f, d1, d2, d3):
         return AnalyticChannel(f=f, d1=d1, d2=d2, d3=d3)
 
     w = omega
-    x = make(lambda t: radius * np.cos(w * np.asarray(t)),
-             lambda t: -radius * w * np.sin(w * np.asarray(t)),
-             lambda t: -radius * w ** 2 * np.cos(w * np.asarray(t)),
-             lambda t: radius * w ** 3 * np.sin(w * np.asarray(t)))
-    y = make(lambda t: radius * np.sin(w * np.asarray(t)),
-             lambda t: radius * w * np.cos(w * np.asarray(t)),
-             lambda t: -radius * w ** 2 * np.sin(w * np.asarray(t)),
-             lambda t: -radius * w ** 3 * np.cos(w * np.asarray(t)))
+
+    def ang(t):
+        return w * np.asarray(t) + phase
+
+    x = make(lambda t: radius * np.cos(ang(t)),
+             lambda t: -radius * w * np.sin(ang(t)),
+             lambda t: -radius * w ** 2 * np.cos(ang(t)),
+             lambda t: radius * w ** 3 * np.sin(ang(t)))
+    y = make(lambda t: radius * np.sin(ang(t)),
+             lambda t: radius * w * np.cos(ang(t)),
+             lambda t: -radius * w ** 2 * np.sin(ang(t)),
+             lambda t: -radius * w ** 3 * np.cos(ang(t)))
     z = make(lambda t: -depth - sink * np.asarray(t, dtype=float),
              lambda t: np.full_like(np.asarray(t, dtype=float), -sink),
              lambda t: np.zeros_like(np.asarray(t, dtype=float)),
@@ -94,23 +102,34 @@ def sampled_weave_spec(dt=0.01, n=601):
             phi=0.3 * np.sin(0.9 * t)))
 
 
+def stage_table(profiles):
+    """The blocks of ``stage_rows()`` joined, each shared row once."""
+    blocks = list(profiles.stage_rows())
+    return np.concatenate([blocks[0]] + [b[1:] for b in blocks[1:]])
+
+
+def profile_columns(profiles):
+    """The half-step profiles by name, columns of ``stage_table``."""
+    return dict(zip(TestStageTable.COLUMNS, stage_table(profiles).T))
+
+
 class TestSetup:
     def test_roll_maneuver_level_profile(self):
-        prof = setup(maneuver_spec("mirage-roll", 1e-3))
-        assert np.all(prof.v == 200.0)
-        for arr in (prof.v_dot, prof.v_ddot, prof.theta_w,
-                    prof.theta_w_dot, prof.theta_w_ddot, prof.psi_w,
-                    prof.psi_w_dot, prof.psi_w_ddot):
-            assert np.all(arr == 0.0)
+        prof = profile_columns(setup(maneuver_spec("mirage-roll", 1e-3)))
+        assert np.all(prof["v"] == 200.0)
+        for name in ("v_dot", "v_ddot", "theta_w", "theta_w_dot",
+                     "theta_w_ddot", "psi_w", "psi_w_dot", "psi_w_ddot"):
+            assert np.all(prof[name] == 0.0), name
 
     def test_roll_bank_endpoints(self):
-        prof = setup(maneuver_spec("mirage-roll", 1e-3))
-        mid = (len(prof.phi) - 1) // 2
-        assert prof.phi[0] == 0.0
-        assert prof.phi[mid] == pytest.approx(math.pi, abs=1e-12)
-        assert prof.phi[-1] == pytest.approx(2 * math.pi, abs=1e-12)
-        assert prof.phi_dot[0] == pytest.approx(0.0, abs=1e-12)
-        assert prof.phi_dot[-1] == pytest.approx(0.0, abs=1e-12)
+        prof = profile_columns(setup(maneuver_spec("mirage-roll", 1e-3)))
+        phi, phi_dot = prof["phi"], prof["phi_dot"]
+        mid = (len(phi) - 1) // 2
+        assert phi[0] == 0.0
+        assert phi[mid] == pytest.approx(math.pi, abs=1e-12)
+        assert phi[-1] == pytest.approx(2 * math.pi, abs=1e-12)
+        assert phi_dot[0] == pytest.approx(0.0, abs=1e-12)
+        assert phi_dot[-1] == pytest.approx(0.0, abs=1e-12)
 
     def test_constraints_copied_exactly(self):
         prof = setup(maneuver_spec("mirage-roll", 1e-3))
@@ -120,19 +139,18 @@ class TestSetup:
         assert np.all(prof.zg == -10000.0)
 
     def test_helix_profiles(self):
-        spec = helix_spec()
-        prof = setup(spec)
+        prof = profile_columns(setup(helix_spec()))
         v_expected = math.hypot(2000.0 * 0.05, 10.0)
-        assert prof.v == pytest.approx(np.full_like(prof.v, v_expected),
-                                       rel=1e-12)
+        assert prof["v"] == pytest.approx(
+            np.full_like(prof["v"], v_expected), rel=1e-12)
         tw_expected = math.asin(10.0 / v_expected)
-        assert prof.theta_w == pytest.approx(
-            np.full_like(prof.theta_w, tw_expected), rel=1e-12)
+        assert prof["theta_w"] == pytest.approx(
+            np.full_like(prof["theta_w"], tw_expected), rel=1e-12)
         # circular ground track: azimuth rate equals the turn rate
-        assert prof.psi_w_dot == pytest.approx(
-            np.full_like(prof.psi_w_dot, 0.05), rel=1e-9)
-        assert np.max(np.abs(prof.v_dot)) < 1e-9
-        assert np.max(np.abs(prof.theta_w_ddot)) < 1e-9
+        assert prof["psi_w_dot"] == pytest.approx(
+            np.full_like(prof["psi_w_dot"], 0.05), rel=1e-9)
+        assert np.max(np.abs(prof["v_dot"])) < 1e-9
+        assert np.max(np.abs(prof["theta_w_ddot"])) < 1e-9
 
     def test_altitude_range_enforced(self):
         spec = TrajectorySpec(
@@ -168,16 +186,46 @@ class TestSetup:
         assert str(info.value) == ("altitude -0.004 m outside "
                                    "[0, 11000] m at station 0")
 
-    @pytest.mark.parametrize("spec, bound", [
-        (maneuver_spec("mirage-roll", 1e-3), 15),
-        (sampled_helix_spec(dt=1e-3, n=6001), 22)],
+    def test_refusals_keep_the_whole_runs_order(self, monkeypatch):
+        # a vertical climb at station 20 and zero speed from station 40:
+        # the 7-station blocks meet the vertical path first, but a check
+        # of the whole run refuses the zero speed, and so does setup
+        def half_step(t):
+            return np.rint(np.asarray(t, dtype=float) / 0.005)
+
+        def zero(t):
+            return np.zeros_like(np.asarray(t, dtype=float))
+
+        x = AnalyticChannel(
+            f=lambda t: 100.0 * np.asarray(t, dtype=float),
+            d1=lambda t: np.where((half_step(t) == 40)
+                                  | (half_step(t) >= 80), 0.0, 100.0),
+            d2=zero, d3=zero)
+        z = AnalyticChannel(
+            f=lambda t: -5000.0 - 10.0 * np.asarray(t, dtype=float),
+            d1=lambda t: np.where(half_step(t) >= 80, 0.0, -10.0),
+            d2=zero, d3=zero)
+        spec = TrajectorySpec(
+            duration=1.0, dt=0.01, name="stop", analytic=AnalyticManeuver(
+                x=x, y=constant_channel(0.0), z=z,
+                phi=constant_channel(0.0)))
+        monkeypatch.setattr(solver, "STATION_BLOCK", 7)
+        with pytest.raises(ZeroVelocity, match="^zero speed at station 40$"):
+            setup(spec)
+        spec = replace(spec, duration=0.35)  # ends before station 40
+        with pytest.raises(VerticalFlight,
+                           match="^vertical flight path at station 20$"):
+            setup(spec)
+
+    @pytest.mark.parametrize("spec", [
+        maneuver_spec("mirage-roll", 1e-3),
+        sampled_helix_spec(dt=1e-3, n=6001)],
         ids=["roll", "sampled-helix"])
-    def test_transient_memory(self, spec, bound):
-        # traced peak of setup above what it keeps (the stage table and
-        # the three station arrays), in half-step arrays: 27 on the roll
-        # and 22 on the sampled helix while every profile was a
-        # temporary until the table was stacked, 13 and 6.5 now that
-        # each is written into its column as it is computed
+    def test_transient_memory(self, spec):
+        # what setup keeps is the (3, n) block of station coordinates,
+        # 24 B a station: about 248 B on the roll while it kept the
+        # (2n-1, 14) stage table too. Its refusal pass holds one block's
+        # temporaries at a time, so its peak does not grow with the run
         setup(spec)
         tracemalloc.start()
         try:
@@ -185,10 +233,13 @@ class TestSetup:
             kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert (peak - kept) / prof.table[:, 0].nbytes <= bound
+        assert kept / spec.station_count < 26
+        # in half-step arrays of one block (2 points a station, 8 B
+        # each): 12.1 on the roll and 3.7 on the sampled helix
+        assert (peak - kept) / (16 * solver.STATION_BLOCK) < 16
 
     def test_sampled_midpoints_are_station_means(self):
-        table = setup(sampled_weave_spec()).table
+        table = stage_table(setup(sampled_weave_spec()))
         assert np.array_equal(table[1::2],
                               0.5 * (table[:-2:2] + table[2::2]))
 
@@ -225,7 +276,7 @@ class TestSetup:
                         ) / vctw,
             phi=s.phi, phi_dot=d1(s.phi, dt), phi_ddot=d2(s.phi, dt),
             rho=density(s.z), rho_dot=density_gradient(s.z) * zd)
-        table = setup(spec).table
+        table = stage_table(setup(spec))
         assert len(expected) == len(TestStageTable.COLUMNS)
         for k, name in enumerate(TestStageTable.COLUMNS):
             assert np.array_equal(table[::2, k], expected[name]), name
@@ -250,20 +301,21 @@ class TestSetup:
         spec = TrajectorySpec(duration=6.0, dt=0.01, name="s-turn",
                               analytic=AnalyticManeuver(x=x, y=y, z=z,
                                                         phi=phi))
-        prof = setup(spec)
+        prof = profile_columns(setup(spec))
         half = 0.005
         pairs = [
-            (prof.theta_w, prof.theta_w_dot, 1e-5),
-            (prof.theta_w_dot, prof.theta_w_ddot, 1e-4),
-            (prof.psi_w, prof.psi_w_dot, 1e-5),
-            (prof.psi_w_dot, prof.psi_w_ddot, 1e-4),
-            (prof.phi, prof.phi_dot, 1e-5),
-            (prof.phi_dot, prof.phi_ddot, 1e-4),
-            (prof.rho, prof.rho_dot, 1e-6),
-            (prof.v, prof.v_dot, 1e-4),
-            (prof.v_dot, prof.v_ddot, 1e-3),
+            ("theta_w", "theta_w_dot", 1e-5),
+            ("theta_w_dot", "theta_w_ddot", 1e-4),
+            ("psi_w", "psi_w_dot", 1e-5),
+            ("psi_w_dot", "psi_w_ddot", 1e-4),
+            ("phi", "phi_dot", 1e-5),
+            ("phi_dot", "phi_ddot", 1e-4),
+            ("rho", "rho_dot", 1e-6),
+            ("v", "v_dot", 1e-4),
+            ("v_dot", "v_ddot", 1e-3),
         ]
-        for parent, child, atol in pairs:
+        for name, child_name, atol in pairs:
+            parent, child = prof[name], prof[child_name]
             fd = fd_first_derivative(parent, half)
             scale = max(float(np.abs(child).max()), 1.0)
             assert np.max(np.abs(fd[2:-2] - child[2:-2])) < atol * scale
@@ -271,11 +323,11 @@ class TestSetup:
     def test_sampled_input_matches_analytic(self):
         # a sampled version of a smooth trajectory reproduces the analytic
         # profiles to stencil accuracy
-        pa = setup(helix_spec(dt=0.01))
-        ps = setup(sampled_helix_spec(dt=0.01))
-        assert ps.v == pytest.approx(pa.v, rel=1e-6)
-        assert ps.theta_w == pytest.approx(pa.theta_w, abs=1e-7)
-        assert ps.psi_w_dot == pytest.approx(pa.psi_w_dot, rel=1e-5)
+        pa = profile_columns(setup(helix_spec(dt=0.01)))
+        ps = profile_columns(setup(sampled_helix_spec(dt=0.01)))
+        assert ps["v"] == pytest.approx(pa["v"], rel=1e-6)
+        assert ps["theta_w"] == pytest.approx(pa["theta_w"], abs=1e-7)
+        assert ps["psi_w_dot"] == pytest.approx(pa["psi_w_dot"], rel=1e-5)
 
 
 class TestStageTable:
@@ -287,25 +339,69 @@ class TestStageTable:
     @pytest.mark.parametrize("spec", [maneuver_spec("mirage-roll", 1e-2),
                                       sampled_helix_spec()],
                              ids=["roll", "sampled"])
-    def test_layout(self, spec):
-        prof = setup(spec)
-        table = prof.stage_rows()
-        n = spec.station_count
-        assert isinstance(table, np.ndarray)
-        assert table.dtype == np.float64
-        assert table.flags.c_contiguous
-        assert table.shape == (2 * n - 1, len(self.COLUMNS))
-        # the table is built once, by setup, and every half-step channel
-        # is a view of its column, not a second copy
-        assert prof.stage_rows() is table
-        for k, name in enumerate(self.COLUMNS):
-            assert np.array_equal(table[:, k], getattr(prof, name)), name
-            assert np.shares_memory(getattr(prof, name), table), name
-        # the packed row read of the rate function sees the same row
+    def test_layout(self, spec, monkeypatch):
+        # stations s..s+k come as one C-contiguous float64 table of the
+        # half-step rows 2s..2s+2k, and the next block starts at its last
+        # row (601 stations: 86 blocks of 7, the last of 5)
+        monkeypatch.setattr(solver, "STATION_BLOCK", 7)
+        blocks = list(setup(spec).stage_rows())
+        assert [len(b) // 2 for b in blocks] == [7] * 85 + [5]
         row = solver._STAGE_ROW
-        for i in (0, 1, n, 2 * n - 2):
-            assert row.unpack_from(table, row.size * i) == \
-                tuple(table[i].tolist())
+        for table in blocks:
+            assert isinstance(table, np.ndarray)
+            assert table.dtype == np.float64
+            assert table.flags.c_contiguous
+            assert table.shape == (len(table), len(self.COLUMNS))
+            # the packed row read of the rate function sees the same row
+            for i in (0, 1, len(table) // 2, len(table) - 1):
+                assert row.unpack_from(table, row.size * i) == \
+                    tuple(table[i].tolist())
+        for a, b in zip(blocks, blocks[1:]):
+            assert a[-1].tobytes() == b[0].tobytes()
+
+    SPECS = {"roll": lambda: maneuver_spec("mirage-roll", 1e-2),
+             "helix": helix_spec, "sampled-helix": sampled_helix_spec,
+             "sampled-weave": sampled_weave_spec}
+
+    @pytest.mark.parametrize("name", sorted(SPECS))
+    def test_blocks_join_into_the_whole_run_table(self, name, monkeypatch):
+        # 601 stations are one block at the default size; in blocks of 7,
+        # each shared row taken once, they give the same table bit for bit
+        spec = self.SPECS[name]()
+        n = spec.station_count
+        [whole] = setup(spec).stage_rows()
+        assert whole.shape == (2 * n - 1, len(self.COLUMNS))
+        monkeypatch.setattr(solver, "STATION_BLOCK", 7)
+        assert stage_table(setup(spec)).tobytes() == whole.tobytes()
+
+    @pytest.mark.parametrize("name", ["turn-180-in-block",
+                                      "turn-180-at-boundary", "minus-zero"])
+    def test_azimuth_is_np_unwrap(self, name, monkeypatch):
+        # the blocks' azimuth is np.unwrap's over the whole run, bit for
+        # bit: across +-180 deg inside a block or at its last row, and
+        # with a -0.0 start (np.unwrap keeps the first point as it is)
+        if name == "minus-zero":
+            spec = TrajectorySpec(
+                duration=6.0, dt=1e-2, name=name, analytic=AnalyticManeuver(
+                    x=solver._linear(200.0), y=solver._linear(-0.0),
+                    z=solver._linear(0.0, -10000.0), phi=solver._linear(0.0)))
+        else:
+            spec = TestBlockedSolve.SPECS[name]()
+        man, tf = spec.analytic, 0.5 * spec.dt * np.arange(
+            2 * spec.station_count - 1)
+        want = np.unwrap(np.arctan2(man.y.d1(tf), man.x.d1(tf)))
+        monkeypatch.setattr(solver, "STATION_BLOCK", 7)
+        psi_w = profile_columns(setup(spec))["psi_w"]
+        assert psi_w.tobytes() == want.tobytes()
+        assert np.signbit(psi_w[0]) == (name == "minus-zero")
+
+    def test_nothing_is_kept_but_the_station_coordinates(self):
+        # the profiles hold no array of 2n-1 rows: the march reads the
+        # stage table a block at a time
+        prof = setup(maneuver_spec("mirage-roll", 1e-2))
+        arrays = [f.name for f in fields(prof)
+                  if isinstance(getattr(prof, f.name), np.ndarray)]
+        assert arrays == ["xg", "yg", "zg"]
 
 
 class TestInitialize:
@@ -398,7 +494,9 @@ class TestInitialize:
                 z=climb.analytic.z,
                 phi=constant_channel(bank)))
         prof = setup(banked)
-        theta_w0, psi_w0 = float(prof.theta_w[0]), float(prof.psi_w[0])
+        columns = profile_columns(prof)
+        theta_w0 = float(columns["theta_w"][0])
+        psi_w0 = float(columns["psi_w"][0])
         assert (theta_w0, psi_w0) == pytest.approx((gamma, chi), rel=1e-12)
         start, _ = self.start(prof, mirage)
         assert (start["theta"], start["psi"]) == (theta_w0, psi_w0)
@@ -426,10 +524,12 @@ class TestSolve:
         # setup still held them all as temporaries, about 510 B once
         # setup wrote each into its column as it is computed, about 490 B
         # once the deflections were recovered after the march, with the
-        # stage table gone, about 462 B now that the record block and the
-        # station block carry only what is read (no thrust rate, no
-        # ground velocities) (at dt 1e-2: traced, a 1e-3 solve takes
-        # half a minute). The first solve of a process also builds the
+        # stage table gone, about 462 B once the record block and the
+        # station block carried only what is read (no thrust rate, no
+        # ground velocities), about 472 B now that the stage table comes
+        # a block at a time: this run's one block is built before the
+        # record block (at dt 1e-2: traced, a 1e-3 solve takes half a
+        # minute). The first solve of a process also builds the
         # RK4 combiners, so a warm-up solve runs untraced.
         spec = maneuver_spec("mirage-roll", 1e-2)
         solve(spec, mirage)
@@ -440,6 +540,22 @@ class TestSolve:
         finally:
             tracemalloc.stop()
         assert peak / spec.station_count < 527
+
+    def test_peak_memory_per_station_in_blocks(self, mirage, monkeypatch):
+        # the march holds one block of stage rows at a time: with 64-station
+        # blocks the traced peak is 279 B a station (2-vCPU AVX-512 Xeon),
+        # bound here with a 15 % margin; a solve that builds the whole
+        # (2n-1, 14) table peaks at 462 B whatever the block size
+        monkeypatch.setattr(solver, "STATION_BLOCK", 64)
+        spec = maneuver_spec("mirage-roll", 1e-2)
+        solve(spec, mirage)
+        tracemalloc.start()
+        try:
+            solve(spec, mirage)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / spec.station_count < 320
 
     def test_roll_maneuver_sanity(self, mirage):
         hist = solve(maneuver_spec("mirage-roll", 1e-3), mirage)
@@ -475,8 +591,7 @@ class TestSolve:
         cfg = replace(mirage, chord_ref=3.5)
         spec = maneuver_spec("mirage-roll", 1e-2)
         hist = solve(spec, cfg)
-        profiles = setup(spec)
-        rho = profiles.station(profiles.rho)
+        rho = profile_columns(setup(spec))["rho"][::2]
         inertia = dynamics.inertia_system(cfg)
         coeffs = hist.reference.coeffs
         for i in range(hist.grid.count):
@@ -557,14 +672,64 @@ class TestSolve:
         assert worst_lateral < 5e-4     # limited by the checking stencil
 
 
-def banked_climbing_turn(dt=1e-2, duration=3.0):
+def banked_climbing_turn(dt=1e-2, duration=3.0, phase=0.0):
     """Coordinated climbing turn: 200 m/s on a 4 km radius, 45.5 deg bank,
     climbing 10 m/s."""
     spec = helix_spec(radius=4000.0, omega=0.05, sink=-10.0, depth=5000.0,
-                      duration=duration, dt=dt)
+                      duration=duration, dt=dt, phase=phase)
     bank = math.atan(200.0 * 0.05 / 9.81)
     return replace(spec, name="banked-climb", analytic=replace(
         spec.analytic, phi=constant_channel(bank)))
+
+
+def turn_across_180(t_cross, sampled=False):
+    """``banked_climbing_turn`` over 6 s whose path azimuth passes +-180
+    deg at ``t_cross``, analytic or sampled at its stations."""
+    spec = banked_climbing_turn(duration=6.0,
+                                phase=math.pi / 2 - 0.05 * t_cross)
+    if not sampled:
+        return spec
+    man, t = spec.analytic, spec.dt * np.arange(spec.station_count)
+    return replace(spec, analytic=None, samples=SampledManeuver(
+        t=t, x=man.x.f(t), y=man.y.f(t), z=man.z.f(t), phi=man.phi.f(t)))
+
+
+class TestBlockedSolve:
+    """A solve fed 7-station blocks is the whole-run solve, bit for bit
+    (601 stations, one block at the default size)."""
+
+    # station 343 ends the 49th block of 7; the half-step row (analytic)
+    # or station (sampled) after the crossing is 347, 343 or 344
+    SPECS = {
+        "roll": lambda: maneuver_spec("mirage-roll", 1e-2),
+        "helix": helix_spec, "sampled-helix": sampled_helix_spec,
+        # the weave's march gives up at station 86
+        "sampled-weave": lambda: sampled_weave_spec(n=81),
+        "turn-180-in-block": lambda: turn_across_180(3.4675),
+        "turn-180-at-boundary": lambda: turn_across_180(3.4275),
+        "sampled-turn-180-at-boundary": lambda: turn_across_180(
+            3.425, sampled=True),
+        "sampled-turn-180-after-boundary": lambda: turn_across_180(
+            3.435, sampled=True),
+    }
+
+    @pytest.mark.parametrize("name", sorted(SPECS))
+    def test_seven_station_blocks(self, mirage, monkeypatch, name):
+        spec = self.SPECS[name]()
+        whole = solve(spec, mirage)
+        if name.startswith(("turn", "sampled-turn")):
+            psi_w = np.rad2deg(whole.psi_w)
+            assert psi_w.min() < 180.0 < psi_w.max()
+        monkeypatch.setattr(solver, "STATION_BLOCK", 7)
+        blocked = solve(spec, mirage)
+        for f in fields(whole):
+            want = getattr(whole, f.name)
+            if isinstance(want, np.ndarray):
+                got = getattr(blocked, f.name)
+                assert got.dtype == want.dtype, f.name
+                assert got.tobytes() == want.tobytes(), f.name
+        assert np.float64(blocked.rate_gap).tobytes() == \
+            np.float64(whole.rate_gap).tobytes()
 
 
 class TestCascadeClosure:

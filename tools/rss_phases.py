@@ -1,0 +1,66 @@
+"""Resident memory of one CLI operation, phase by phase.
+
+    PYTHONPATH=src python3 tools/rss_phases.py <cli args...>
+
+for example ``... rss_phases.py inverse --maneuver mirage-roll --dt 1e-4
+--out /tmp/roll``. Runs ``invflight.cli.main`` on the arguments in this
+process and prints one JSON line: the exit status and, in call order,
+VmRSS and VmHWM (MB, from ``/proc/self/status``, Linux only) after the
+package import and after each return of ``solver.setup``,
+``solver.initialize``, ``solver.solve``, ``cli.write_history``,
+``cli.write_summary``, ``cli.read_history`` and ``fwd.simulate``. VmHWM
+is the process's high-water mark so far, so the run peaked inside the
+phase of the first point whose VmHWM equals the last point's.
+
+Only the standard library is imported before ``invflight.cli``, so the
+import point is the package's own cost. Each probe is a wrapper on the
+module attribute that callers look up at call time; nothing under
+``src/`` changes.
+"""
+
+from __future__ import annotations
+
+import json
+import sys
+
+
+def memory() -> dict:
+    """VmRSS and VmHWM of this process, in MB (1024 kB)."""
+    with open("/proc/self/status", encoding="ascii") as fh:
+        fields = dict(line.split(":", 1) for line in fh)
+    return {key: int(fields[key].split()[0]) / 1024.0
+            for key in ("VmRSS", "VmHWM")}
+
+
+def main(argv: list) -> int:
+    import invflight.cli as cli
+    from invflight import solver
+
+    points = [{"phase": "import", **memory()}]
+
+    def probe(owner, attr, phase):
+        fn = getattr(owner, attr)
+
+        def probed(*args, **kwargs):
+            result = fn(*args, **kwargs)
+            points.append({"phase": phase, **memory()})
+            return result
+
+        setattr(owner, attr, probed)
+
+    for owner, attr, phase in (
+            (solver, "setup", "setup"),
+            (solver, "initialize", "initialize"),
+            (solver, "solve", "solve"),
+            (cli, "write_history", "write_history"),
+            (cli, "write_summary", "write_summary"),
+            (cli, "read_history", "read_history"),
+            (cli.fwd, "simulate", "fwd.simulate")):
+        probe(owner, attr, phase)
+    status = cli.main(argv)
+    print(json.dumps({"argv": argv, "status": status, "points": points}))
+    return status
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
