@@ -144,17 +144,22 @@ _HISTORY_ROW = "%.15g" + ",%.9g" * (len(HISTORY_COLUMNS) - 2) + ",%d\n"
 
 
 def write_history(hist: solver.SolutionHistory, path, unit: str):
-    values = [field for _, field, _ in HISTORY_COLUMNS[:-1]]
+    # the writer's memory is one (block, 21) float64 array of stations,
+    # formatted and written 16 rows a ``%`` (flags print through ``%d``)
+    block = solver.STATION_BLOCK
+    buf = np.empty((min(block, hist.grid.count), len(HISTORY_COLUMNS)))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(HISTORY_HEADER + "\n")
-        # the writer's memory is one block of formatted stations
-        block = solver.STATION_BLOCK
         for start in range(0, hist.grid.count, block):
             cols = _history_columns(hist, unit, slice(start, start + block))
-            # ``+ 0.0`` turns -0.0 into 0.0, as ``_fmt`` does
-            rows = zip(*[(cols[f] + 0.0).tolist() for f in values],
-                       cols["flags"].tolist())
-            fh.writelines([_HISTORY_ROW % row for row in rows])
+            rows = np.stack([cols[f] for _, f, _ in HISTORY_COLUMNS], axis=1,
+                            out=buf[:len(cols["t"])])
+            del cols  # the next block's columns are built without these
+            rows += 0.0  # turns -0.0 into 0.0, as ``_fmt`` does
+            for lo in range(0, len(rows), 16):
+                part = rows[lo:lo + 16]
+                fh.write(_HISTORY_ROW * len(part)
+                         % tuple(part.ravel().tolist()))
 
 
 def write_summary(hist: solver.SolutionHistory, path, unit: str):

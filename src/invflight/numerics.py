@@ -37,7 +37,11 @@ class UniformGrid:
     count: int
 
     def times(self) -> np.ndarray:
-        return self.t0 + self.dt * np.arange(self.count)
+        """``t0 + dt * arange(count)``, built in one array: the same bits."""
+        t = np.arange(self.count, dtype=float)
+        t *= self.dt
+        t += self.t0
+        return t
 
 
 def fd_first_derivative(values, dt: float) -> np.ndarray:

@@ -160,7 +160,7 @@ _STAGE_COLUMNS = ("v", "v_dot", "v_ddot", "theta_w", "theta_w_dot",
                   "phi", "phi_dot", "phi_ddot", "rho", "rho_dot")
 
 # stations per block of the stage table, per call of the deflection
-# recovery after the march, and per formatted write of the history file
+# recovery after the march, and per block the history writer formats
 STATION_BLOCK = 2048
 
 
@@ -749,11 +749,15 @@ def solve(spec: TrajectorySpec, cfg: AircraftConfig) -> SolutionHistory:
                 *(a[sl] for a in inputs), inertia, coeffs, cfg.wing_area,
                 cfg.span_ref, cfg.chord_ref)
 
+    # |alpha_actual| in one temporary, freed before ``t`` is built: the
+    # same bits as ``np.abs(alpha + shift)``
+    alpha_abs = out["alpha"] + init.reference.alpha_shift
+    stall = np.abs(alpha_abs, out=alpha_abs) > aero.STALL_ALPHA
+    del alpha_abs
     return SolutionHistory(
         grid=grid, maneuver=spec.name, reference=init.reference,
         t=grid.times(), xg=profiles.xg, yg=profiles.yg, zg=profiles.zg,
-        stall=np.abs(out["alpha"] + init.reference.alpha_shift)
-        > aero.STALL_ALPHA,
+        stall=stall,
         reverse_thrust=out["thrust"] < 0.0, rate_gap=max_gap,
         **kept, **out)
 

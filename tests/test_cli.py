@@ -323,6 +323,23 @@ class TestInverse:
                 tracemalloc.stop()
         assert peaks[1] < 1.1 * peaks[0], peaks
 
+    def test_history_writer_peak_memory_per_block_row(self, tmp_path,
+                                                      roll_1e3):
+        # traced peak of writing the 6,001 rows in blocks of the default
+        # 2,048: 1,367 B a block row when each block became 21 lists of
+        # Python floats and a list of row strings, 274 B (2-vCPU AVX-512
+        # Xeon) with one (2048, 21) float64 block beside the 12 columns
+        # it computes (the angles and the flags), bound with a 20 % margin
+        path = tmp_path / "h.csv"
+        write_history(roll_1e3, path, "deg")  # first-call caches
+        tracemalloc.start()
+        try:
+            write_history(roll_1e3, path, "deg")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / solver.STATION_BLOCK < 330
+
     def test_unknown_maneuver_is_input_error(self, tmp_path, capsys):
         assert run("inverse", "--maneuver", "loop", "--out",
                    str(tmp_path)) == EXIT_INPUT

@@ -6,6 +6,7 @@ import pytest
 
 from invflight import GridTooShort
 from invflight.numerics import (
+    UniformGrid,
     fd_first_derivative,
     fd_second_derivative,
     fd_third_derivative,
@@ -17,6 +18,17 @@ from oracles import loop_rk4_step
 
 def grid_times(dt, n, t0=0.0):
     return t0 + dt * np.arange(n)
+
+
+@pytest.mark.parametrize("t0", [0.0, 1000.0, 100000.0])
+@pytest.mark.parametrize("dt", [1e-4, 1e-3, 1e-2])
+def test_grid_times_built_in_place_keep_their_bits(t0, dt):
+    # ``times`` builds t in one array (arange, *= dt, += t0): the same
+    # IEEE operations as the whole-array expression, so the same bytes
+    want = grid_times(dt, 120_001, t0)
+    got = UniformGrid(t0, dt, 120_001).times()
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
 
 
 class TestStencils:

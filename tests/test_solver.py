@@ -18,7 +18,7 @@ from invflight import (
     setup,
     solve,
 )
-from invflight import solver
+from invflight import aero, solver
 from invflight.atmosphere import density, density_gradient
 from invflight.model import AnalyticChannel, AnalyticManeuver, SampledManeuver
 from invflight.numerics import (
@@ -514,6 +514,22 @@ class TestSolve:
         assert np.max(np.abs(hist.thrust - hist.thrust[0])) <= 1e-6
         assert not hist.stall.any()
         assert not hist.reverse_thrust.any()
+
+    def test_stall_flags_keep_their_bits(self, mirage):
+        # a pull-up of up to 25 m/s^2 takes alpha_actual past 15 deg, so
+        # some stations stall and some do not; solve forms |alpha_actual|
+        # in place, which must flag what the whole-array expression flags
+        t = 1e-2 * np.arange(601)
+        spec = TrajectorySpec(
+            duration=6.0, dt=1e-2, name="pull-up", samples=SampledManeuver(
+                t=t, x=200.0 * t, y=np.zeros(601),
+                z=-10000.0 + 100.0 * np.sin(0.5 * t), phi=np.zeros(601)))
+        hist = solve(spec, mirage)
+        want = (np.abs(hist.alpha + hist.reference.alpha_shift)
+                > aero.STALL_ALPHA)
+        assert 0 < want.sum() < hist.grid.count
+        assert hist.stall.dtype == want.dtype
+        assert hist.stall.tobytes() == want.tobytes()
 
     def test_peak_memory_per_station(self, mirage):
         # traced peak of the whole solve: about 1,590 B a station when

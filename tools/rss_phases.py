@@ -4,13 +4,22 @@
 
 for example ``... rss_phases.py inverse --maneuver mirage-roll --dt 1e-4
 --out /tmp/roll``. Runs ``invflight.cli.main`` on the arguments in this
-process and prints one JSON line: the exit status and, in call order,
+process and prints one JSON line, the last line of stdout (the CLI's
+own "wrote ..." lines come before it): the exit status; in call order,
 VmRSS and VmHWM (MB, from ``/proc/self/status``, Linux only) after the
 package import and after each return of ``solver.setup``,
 ``solver.initialize``, ``solver.solve``, ``cli.write_history``,
-``cli.write_summary``, ``cli.read_history`` and ``fwd.simulate``. VmHWM
-is the process's high-water mark so far, so the run peaked inside the
-phase of the first point whose VmHWM equals the last point's.
+``cli.write_summary``, ``cli.read_history`` and ``fwd.simulate``; and
+``ru_maxrss_mb``, the process's own ``resource.getrusage`` peak at exit.
+VmHWM is the process's high-water mark so far, so the run peaked inside
+the phase of the first point whose VmHWM equals the last point's.
+
+The probes themselves move the peak: reading ``/proc/self/status``
+between phases changes the heap layout, and VmHWM can end about 1.7 MB
+away from the unprobed run's (38.2 against 36.5 MB seen on an S-turn
+``roundtrip``). The phase points say where the memory goes; a peak
+claim rests on the ``ru_maxrss`` of an unprobed run, as
+``perfbench/run.py`` measures it.
 
 Only the standard library is imported before ``invflight.cli``, so the
 import point is the package's own cost. Each probe is a wrapper on the
@@ -21,6 +30,7 @@ module attribute that callers look up at call time; nothing under
 from __future__ import annotations
 
 import json
+import resource
 import sys
 
 
@@ -58,7 +68,9 @@ def main(argv: list) -> int:
             (cli.fwd, "simulate", "fwd.simulate")):
         probe(owner, attr, phase)
     status = cli.main(argv)
-    print(json.dumps({"argv": argv, "status": status, "points": points}))
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    print(json.dumps({"argv": argv, "status": status, "points": points,
+                      "ru_maxrss_mb": peak}))
     return status
 
 
