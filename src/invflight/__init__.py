@@ -51,6 +51,7 @@ from .solver import (
     convergence_study,
     initialize,
     maneuver_spec,
+    march,
     setup,
     solve,
 )

@@ -20,6 +20,7 @@ Exit codes: 0 success, 1 input error (a start that the set-up or the
 from __future__ import annotations
 
 import argparse
+import copy
 import math
 import sys
 from dataclasses import fields
@@ -143,50 +144,102 @@ def _history_columns(hist: solver.SolutionHistory, unit: str, rows):
 _HISTORY_ROW = "%.15g" + ",%.9g" * (len(HISTORY_COLUMNS) - 2) + ",%d\n"
 
 
-def write_history(hist: solver.SolutionHistory, path, unit: str):
+def write_history(parts, path, unit: str):
+    """Write the history file of one run from ``parts``, its
+    ``SolutionHistory`` parts in station order (a whole history is one
+    part), each read once, in turn."""
     # the writer's memory is one (block, 21) float64 array of stations,
     # formatted and written 16 rows a ``%`` (flags print through ``%d``)
     block = solver.STATION_BLOCK
-    buf = np.empty((min(block, hist.grid.count), len(HISTORY_COLUMNS)))
+    buf = np.empty((0, len(HISTORY_COLUMNS)))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(HISTORY_HEADER + "\n")
-        for start in range(0, hist.grid.count, block):
-            cols = _history_columns(hist, unit, slice(start, start + block))
-            rows = np.stack([cols[f] for _, f, _ in HISTORY_COLUMNS], axis=1,
-                            out=buf[:len(cols["t"])])
-            del cols  # the next block's columns are built without these
-            rows += 0.0  # turns -0.0 into 0.0, as ``_fmt`` does
-            for lo in range(0, len(rows), 16):
-                part = rows[lo:lo + 16]
-                fh.write(_HISTORY_ROW * len(part)
-                         % tuple(part.ravel().tolist()))
+        for hist in parts:
+            for start in range(0, len(hist.t), block):
+                cols = _history_columns(hist, unit,
+                                        slice(start, start + block))
+                k = len(cols["t"])
+                if k > len(buf):
+                    buf = np.empty((k, len(HISTORY_COLUMNS)))
+                rows = np.stack([cols[f] for _, f, _ in HISTORY_COLUMNS],
+                                axis=1, out=buf[:k])
+                del cols  # the next block's columns are built without these
+                rows += 0.0  # turns -0.0 into 0.0, as ``_fmt`` does
+                for lo in range(0, k, 16):
+                    group = rows[lo:lo + 16]
+                    fh.write(_HISTORY_ROW * len(group)
+                             % tuple(group.ravel().tolist()))
+            del hist  # the next part is marched without this one
 
 
-def write_summary(hist: solver.SolutionHistory, path, unit: str):
-    s = _angle_scale(unit)
-    ref = hist.reference
+def _max_abs(a):
+    return np.abs(a).max()
+
+
+# the summary's extremes and counts, in file order: key -> (SolutionHistory
+# field, is an angle, reduction over a part, fold across parts). Each
+# gives the same bits over any partition of the stations
+_SUMMARY_FOLDS = {
+    "thrust_min_n": ("thrust", False, np.min, np.minimum),
+    "thrust_max_n": ("thrust", False, np.max, np.maximum),
+    "delta_l_max_abs": ("delta_l", True, _max_abs, np.maximum),
+    "delta_m_max_abs": ("delta_m", True, _max_abs, np.maximum),
+    "delta_n_max_abs": ("delta_n", True, _max_abs, np.maximum),
+    "alpha_actual_min": ("alpha_actual", True, np.min, np.minimum),
+    "alpha_actual_max": ("alpha_actual", True, np.max, np.maximum),
+    "beta_min": ("beta", True, np.min, np.minimum),
+    "beta_max": ("beta", True, np.max, np.maximum),
+    "theta_w_max_abs": ("theta_w", True, _max_abs, np.maximum),
+    "psi_w_max_abs": ("psi_w", True, _max_abs, np.maximum),
+    "stall_stations": ("stall", False, np.sum, np.add),
+    "reverse_thrust_stations": ("reverse_thrust", False, np.sum, np.add),
+}
+
+
+class RunSummary:
+    """What the summary file and the closing lines of an inverse run
+    report, folded from the run's parts as they pass."""
+
+    def __init__(self):
+        self.values = {}
+        self.head = self.rate_gap = None
+
+    def fold(self, parts):
+        """Pass ``parts`` on, each folded in before it is passed."""
+        for part in parts:
+            if self.head is None:
+                self.head = (part.maneuver, part.grid, part.reference,
+                             part.thrust[0])
+            alpha_actual = part.alpha_actual  # one part-long temporary
+            for key, (field, _, reduce, fold) in _SUMMARY_FOLDS.items():
+                x = reduce(alpha_actual if field == "alpha_actual"
+                           else getattr(part, field))
+                self.values[key] = (fold(self.values[key], x)
+                                    if key in self.values else x)
+            self.rate_gap = part.rate_gap
+            yield part
+
+    def text(self, key, unit: str) -> str:
+        """A folded value as the summary prints it."""
+        x = self.values[key]
+        if isinstance(x, np.integer):
+            return str(int(x))
+        angle = _SUMMARY_FOLDS[key][1]
+        return _fmt(float(x) * _angle_scale(unit) if angle else float(x))
+
+
+def write_summary(summary: RunSummary, path, unit: str):
+    maneuver, grid, ref, thrust0 = summary.head
     _write_report(path, [
-        ("maneuver", hist.maneuver),
-        ("dt_s", _fmt(hist.grid.dt)),
-        ("stations", str(hist.grid.count)),
+        ("maneuver", maneuver),
+        ("dt_s", _fmt(grid.dt)),
+        ("stations", str(grid.count)),
         ("angle_unit", unit),
         ("c_lift0_equib", _fmt(ref.c_lift0_equib)),
         ("alpha_equib_deg", _fmt(math.degrees(ref.alpha_equib))),
         ("alpha_shift_deg", _fmt(math.degrees(ref.alpha_shift))),
-        ("thrust_initial_n", _fmt(hist.thrust[0])),
-        ("thrust_min_n", _fmt(float(hist.thrust.min()))),
-        ("thrust_max_n", _fmt(float(hist.thrust.max()))),
-        ("delta_l_max_abs", _fmt(float(np.abs(hist.delta_l).max()) * s)),
-        ("delta_m_max_abs", _fmt(float(np.abs(hist.delta_m).max()) * s)),
-        ("delta_n_max_abs", _fmt(float(np.abs(hist.delta_n).max()) * s)),
-        ("alpha_actual_min", _fmt(float(hist.alpha_actual.min()) * s)),
-        ("alpha_actual_max", _fmt(float(hist.alpha_actual.max()) * s)),
-        ("beta_min", _fmt(float(hist.beta.min()) * s)),
-        ("beta_max", _fmt(float(hist.beta.max()) * s)),
-        ("theta_w_max_abs", _fmt(float(np.abs(hist.theta_w).max()) * s)),
-        ("psi_w_max_abs", _fmt(float(np.abs(hist.psi_w).max()) * s)),
-        ("stall_stations", str(int(hist.stall.sum()))),
-        ("reverse_thrust_stations", str(int(hist.reverse_thrust.sum()))),
+        ("thrust_initial_n", _fmt(thrust0)),
+        *((key, summary.text(key, unit)) for key in _SUMMARY_FOLDS),
     ])
 
 
@@ -265,16 +318,23 @@ _REFUSALS = {AltitudeOutOfRange: "altitude_out_of_range",
 
 
 def run_inverse(args, cfg: AircraftConfig) -> int:
-    hist = solver.solve(_resolve_spec(args, args.dt), cfg)
+    """Write the history a part at a time as the march yields it, and the
+    summary from the extremes folded on the way; a march that fails
+    leaves no history file."""
+    parts = solver.march(_resolve_spec(args, args.dt), cfg)
     out = _out_dir(args)
-    write_history(hist, out / "history.csv", args.angles)
-    write_summary(hist, out / "summary.txt", args.angles)
+    summary = RunSummary()
+    try:
+        write_history(summary.fold(parts), out / "history.csv", args.angles)
+    except BaseException:
+        (out / "history.csv").unlink(missing_ok=True)
+        raise
+    write_summary(summary, out / "summary.txt", args.angles)
     print(f"wrote {out / 'history.csv'} and {out / 'summary.txt'}")
-    s = _angle_scale(args.angles)
-    print(f"max |delta_n| = {_fmt(float(np.abs(hist.delta_n).max()) * s)} "
+    print(f"max |delta_n| = {summary.text('delta_n_max_abs', args.angles)} "
           f"{args.angles}")
     print(f"angular-acceleration average/direct gap = "
-          f"{_fmt(hist.rate_gap)} rad/s^2")
+          f"{_fmt(summary.rate_gap)} rad/s^2")
     return EXIT_OK
 
 
@@ -302,11 +362,18 @@ def run_forward(args, cfg: AircraftConfig) -> int:
 
 
 def run_roundtrip(args, cfg: AircraftConfig) -> int:
+    """Solve, write the history, and re-fly the solved controls. The
+    flight holds copies of the 4 control columns and views of the track,
+    not the solved history."""
     hist = solver.solve(_resolve_spec(args, args.dt), cfg)
     out = _out_dir(args)
-    write_history(hist, out / "history.csv", args.angles)
-    return _refly(hist.state_at(0), hist.controls(), hist.reference.coeffs,
-                  (hist.xg, hist.yg, hist.zg, hist.phi), cfg, args,
+    write_history([hist], out / "history.csv", args.angles)
+    # the deep copy holds the 4 control columns, not the record block
+    initial, controls = hist.state_at(0), copy.deepcopy(hist.controls())
+    coeffs, track = hist.reference.coeffs, (hist.xg, hist.yg, hist.zg,
+                                            hist.phi)
+    del hist  # frees the record block: the flight reads only the above
+    return _refly(initial, controls, coeffs, track, cfg, args,
                   out / "roundtrip.txt")
 
 

@@ -14,11 +14,13 @@ histories and all remaining flight variables:
                 trim, zero airflow angles, pitch and heading equal to the
                 path angles, thrust from the axial balance, body rates from
                 the Euler rates, as the march's twelve-value start;
-  solve         march station to station with fixed-step RK4 over the
+  march         march station to station with fixed-step RK4 over the
                 twelve-variable vector (alpha, beta, theta, psi, T,
-                alpha', beta', theta', psi', p, q, r); after the march,
-                recover the deflections of every station from the moment
-                balance, one block of stations per call.
+                alpha', beta', theta', psi', p, q, r), a block of stations
+                at a time; after each block, recover its stations'
+                deflections from the moment balance in one call and yield
+                them as a part of the solution (``solve`` gathers the
+                parts into one history).
 
 Every step of the march is explicit: each stage evaluates the
 differentiated force balances, then the attitude accelerations, then
@@ -82,6 +84,7 @@ __all__ = [
     "InitialConditions",
     "setup",
     "initialize",
+    "march",
     "solve",
     "convergence_study",
 ]
@@ -159,8 +162,9 @@ _STAGE_COLUMNS = ("v", "v_dot", "v_ddot", "theta_w", "theta_w_dot",
                   "theta_w_ddot", "psi_w", "psi_w_dot", "psi_w_ddot",
                   "phi", "phi_dot", "phi_ddot", "rho", "rho_dot")
 
-# stations per block of the stage table, per call of the deflection
-# recovery after the march, and per block the history writer formats
+# stations per block of the stage table, so per part of the march and
+# per call of its deflection recovery, and per block the history writer
+# formats
 STATION_BLOCK = 2048
 
 
@@ -192,18 +196,17 @@ class KinematicProfiles:
         ``STATION_BLOCK``, the C-contiguous ``(2k+1, 14)`` float64 half-step
         rows 2s..2s+2k, 112 bytes a row in the stage rate function's unpack
         order. Consecutive blocks share their boundary row; nothing is
-        computed before the first ``next``."""
-        carry = -0.0
+        computed before the first ``next``, and a block is not held here
+        once it is yielded."""
+        carry = [-0.0]
         for s in range(0, self.stations.count - 1, STATION_BLOCK):
-            table, carry = self._block(s, carry)
-            yield table
-            del table  # the next block is built without this one
+            yield self._block(s, carry)
 
     def _block(self, s, carry, ground=None):
-        """Stations s..s+k as ``(table, carry)``, ``carry`` the azimuth
-        unwrap's running correction at station s, then at s+k. Given
-        ``ground``, the refusal pass instead: write the block's station
-        coordinates into it and stop after the refusals.
+        """Stations s..s+k as their table; ``carry`` holds the azimuth
+        unwrap's running correction at station s, and the call moves it
+        on to s+k. Given ``ground``, the refusal pass instead: write the
+        block's station coordinates into it and stop after the refusals.
 
         Each row is the whole-run computation's, bit for bit: numpy's
         elementwise functions give the same bits on any chunk, 4 points
@@ -273,7 +276,7 @@ class KinematicProfiles:
         np.copyto(fix, math.pi, where=(fix == -math.pi) & (dd > 0))
         fix -= dd
         fix[np.abs(dd) < math.pi] = 0.0
-        total = np.cumsum(np.concatenate(([carry], fix)))
+        total = np.cumsum(np.concatenate((carry, fix)))
         psi_w[:] = azimuth = raw + total
         del raw, dd, fix
         spw, cpw = np.sin(azimuth), np.cos(azimuth)
@@ -296,7 +299,8 @@ class KinematicProfiles:
             for col in table.T:
                 even = col[::2]
                 col[1::2] = 0.5 * (even[:-1] + even[1:])
-        return table, total[-1]
+        carry[0] = total[-1]
+        return table
 
 
 def setup(spec: TrajectorySpec) -> KinematicProfiles:
@@ -428,7 +432,7 @@ def initialize(profiles: KinematicProfiles,
 CASCADE_SWEEPS = 4
 
 # one row of ``KinematicProfiles.stage_rows()``, and the marched head of
-# one station of the solve's record block (state, then (p', q', r')),
+# one station of the march's record block (state, then (p', q', r')),
 # read and written in place as packed doubles
 _STAGE_ROW = struct.Struct("14d")
 _STATION_RECORD = struct.Struct("15d")
@@ -595,10 +599,11 @@ class SolutionHistory:
     angles are copied from the setup profiles, never integrated, so they
     reproduce the prescription exactly. ``alpha`` is the procedure value
     (departure from trim); ``alpha_actual`` applies the reporting shift.
-    The 18 solved columns, ``alpha`` to ``r_dot``, are strided views of
-    one ``(n, 18)`` record block, not separate arrays: ``solve`` filled
-    the marched columns a station at a time and the deflections a block
-    of stations at a time.
+    The 18 solved columns, ``alpha`` to ``delta_n`` in ``_RECORD`` order,
+    are strided views of one ``(stations, 18)`` record block, not
+    separate arrays. A part of a run, as ``march`` yields it, holds the
+    consecutive stations ``t`` of ``grid``, the whole run's grid, and
+    ``rate_gap`` up to its last station.
     """
 
     grid: UniformGrid
@@ -648,55 +653,67 @@ class SolutionHistory:
                               for f in fields(FlightState)})
 
 
-def solve(spec: TrajectorySpec, cfg: AircraftConfig) -> SolutionHistory:
-    """Solve the inverse problem over the whole trajectory.
+# a station's record: state, (p', q', r'), deflections; the march packs
+# the first 15, the recovery pass fills the last 3
+_RECORD = ("alpha", "beta", "theta", "psi", "thrust",
+           "alpha_dot", "beta_dot", "theta_dot", "psi_dot",
+           "p", "q", "r", "p_dot", "q_dot", "r_dot",
+           "delta_l", "delta_m", "delta_n")
+# what the history and the recovery need of the stage table's stations
+_KEPT = ("v", "phi", "theta_w", "psi_w")
+# the per-station arrays of a part besides its record block's columns
+# and its views of the ground coordinates
+_MARCHED = ("t", *_KEPT, "stall", "reverse_thrust")
+
+
+def march(spec: TrajectorySpec, cfg: AircraftConfig):
+    """Solve the inverse problem a stage block at a time.
+
+    ``setup`` and ``initialize`` run now, so a refused trajectory or
+    start raises here; the march itself runs as the returned iterator is
+    read. It yields the solution as ``SolutionHistory`` parts in station
+    order, one per block of ``KinematicProfiles.stage_rows()``: at most
+    ``STATION_BLOCK`` stations, the last part one more. Each part's
+    arrays are its own, except the ground coordinates, which are views
+    of setup's ``(3, n)`` block, and each value has the whole run's bits.
+    """
+    profiles = setup(spec)
+    return _march(spec.name, profiles, initialize(profiles, cfg), cfg)
+
+
+def _march(name, profiles, init, cfg):
+    """The parts of ``march``.
 
     Marches the twelve-variable state with fixed-step RK4; after each
     step the station's angular accelerations are taken as the weighted
     stage average, and the auxiliary rates are re-evaluated algebraically
     at the new station as the next step's k1. The largest gap between
-    the averaged and the re-evaluated angular accelerations is recorded
-    as ``rate_gap``. It reads the stage table a block of stations at a
-    time. The march never reads the deflections, so after it they are
-    recovered from the moment balance a block of stations a call.
+    the averaged and the re-evaluated angular accelerations is the
+    running ``rate_gap``. A block's last station is the next block's
+    first: its record is carried over, and its part is the next one. The
+    march never reads the deflections, so once a block is marched they
+    are recovered from the moment balance for its part in one call.
     """
-    profiles = setup(spec)
-    init = initialize(profiles, cfg)
     inertia = dynamics.inertia_system(cfg)
     coeffs = init.reference.coeffs
     grid = profiles.stations
     n, dt, t0 = grid.count, grid.dt, grid.t0
+    shift = init.reference.alpha_shift
 
+    pack_station = _STATION_RECORD.pack_into
     lag = [0.0, 0.0, 0.0]
-    # built before the arrays below, its temporaries never sit on top of
-    # them: a one-block solve peaks here
-    blocks = profiles.stage_rows()
-    rows = next(blocks)
-
-    # a station's record: state, (p', q', r'), deflections; the march
-    # packs the first 15, the recovery pass fills the last 3
-    names = ("alpha", "beta", "theta", "psi", "thrust",
-             "alpha_dot", "beta_dot", "theta_dot", "psi_dot",
-             "p", "q", "r", "p_dot", "q_dot", "r_dot",
-             "delta_l", "delta_m", "delta_n")
-    block = np.empty((n, len(names)))
-    pack_station, stride = _STATION_RECORD.pack_into, block.strides[0]
-    # what the history and the recovery need of the profiles, taken from
-    # each block's station rows before the block is dropped
-    kept = {k: np.empty(n) for k in ("v", "phi", "theta_w", "psi_w")}
-    qbar = np.empty(n)
-
     y = init.y0
-    pack_station(block, 0, *y, 0.0, 0.0, 0.0)
-
+    head = (*y, 0.0, 0.0, 0.0)  # the first 15 values of station s
     max_gap = 0.0
     s = 0
-    while rows is not None:
-        e = s + len(rows) // 2
+    for rows in profiles.stage_rows():
+        e = s + len(rows) // 2  # the block marches stations s..e
+        block = np.empty((e + 1 - s, len(_RECORD)))
+        stride = block.strides[0]
+        pack_station(block, 0, *head)
         col = dict(zip(_STAGE_COLUMNS, rows[::2].T))
-        for k, a in kept.items():
-            a[s:e + 1] = col[k]
-        qbar[s:e + 1] = aero.dynamic_pressure(col["rho"], col["v"])
+        kept = {k: col[k].copy() for k in _KEPT}
+        qbar = aero.dynamic_pressure(col["rho"], col["v"])
         rate_fn = _make_rate_function(rows, t0 + s * dt, 0.5 * dt, cfg,
                                       coeffs, lag)
         if s == 0:
@@ -730,36 +747,65 @@ def solve(spec: TrajectorySpec, cfg: AircraftConfig) -> SolutionHistory:
             except FlightMechanicsError as err:
                 raise SolverAbort("marching loop", i + 1, err) from err
 
-            pack_station(block, stride * (i + 1), *y_new, p_avg, q_avg,
+            pack_station(block, stride * (i + 1 - s), *y_new, p_avg, q_avg,
                          r_avg)
             y = y_new
-        s = e
-        del rows, col, rate_fn  # the next block is built without this one
-        rows = next(blocks, None)
+        head = (*y, p_avg, q_avg, r_avg)
+        del rows, col, rate_fn  # the part is built without the stage block
 
-    out = dict(zip(names, block.T))
-    inputs = [out[k] for k in ("p_dot", "q_dot", "r_dot", "p", "q", "r",
-                               "alpha", "beta")] + [kept["v"], qbar]
-    # setup (V > 0) and validate_config (the aircraft data) have made
-    # every check the recovery makes, so it cannot fail here
-    for lo in range(0, n, STATION_BLOCK):
-        sl = slice(lo, lo + STATION_BLOCK)
-        out["delta_l"][sl], out["delta_m"][sl], out["delta_n"][sl] = \
+        m = len(block) if e == n - 1 else len(block) - 1  # its stations
+        out = dict(zip(_RECORD, block[:m].T))
+        # setup (V > 0) and validate_config (the aircraft data) have made
+        # every check the recovery makes, so it cannot fail here
+        out["delta_l"][:], out["delta_m"][:], out["delta_n"][:] = \
             dynamics.controls_from_angular_accels(
-                *(a[sl] for a in inputs), inertia, coeffs, cfg.wing_area,
+                *(out[k] for k in ("p_dot", "q_dot", "r_dot", "p", "q", "r",
+                                   "alpha", "beta")),
+                kept["v"][:m], qbar[:m], inertia, coeffs, cfg.wing_area,
                 cfg.span_ref, cfg.chord_ref)
+        # |alpha_actual| in one temporary: the same bits as
+        # ``np.abs(alpha + shift)``
+        alpha_abs = out["alpha"] + shift
+        stall = np.abs(alpha_abs, out=alpha_abs) > aero.STALL_ALPHA
+        del alpha_abs
+        t = np.arange(s, s + m, dtype=float)  # the bits of ``grid.times()``
+        t *= dt
+        t += t0
+        part = SolutionHistory(
+            grid=grid, maneuver=name, reference=init.reference, t=t,
+            xg=profiles.xg[s:s + m], yg=profiles.yg[s:s + m],
+            zg=profiles.zg[s:s + m], stall=stall,
+            reverse_thrust=out["thrust"] < 0.0, rate_gap=max_gap,
+            **{k: a[:m] for k, a in kept.items()}, **out)
+        del block, kept, qbar, out, t, stall  # only the part holds them
+        yield part
+        del part  # the next block is built without this one
+        s = e
 
-    # |alpha_actual| in one temporary, freed before ``t`` is built: the
-    # same bits as ``np.abs(alpha + shift)``
-    alpha_abs = out["alpha"] + init.reference.alpha_shift
-    stall = np.abs(alpha_abs, out=alpha_abs) > aero.STALL_ALPHA
-    del alpha_abs
-    return SolutionHistory(
-        grid=grid, maneuver=spec.name, reference=init.reference,
-        t=grid.times(), xg=profiles.xg, yg=profiles.yg, zg=profiles.zg,
-        stall=stall,
-        reverse_thrust=out["thrust"] < 0.0, rate_gap=max_gap,
-        **kept, **out)
+
+def solve(spec: TrajectorySpec, cfg: AircraftConfig) -> SolutionHistory:
+    """Solve the inverse problem over the whole trajectory: the parts of
+    ``march`` gathered into one history, whose 18 solved columns are
+    strided views of one ``(n, 18)`` record block and whose ground
+    coordinates are the rows of setup's block."""
+    profiles = setup(spec)
+    parts = _march(spec.name, profiles, initialize(profiles, cfg), cfg)
+    whole, s = None, 0
+    for part in parts:
+        if whole is None:  # after the first block's stage table is freed
+            n = part.grid.count
+            block = np.empty((n, len(_RECORD)))
+            whole = replace(
+                part, xg=profiles.xg, yg=profiles.yg, zg=profiles.zg,
+                **dict(zip(_RECORD, block.T)),
+                **{k: np.empty(n, getattr(part, k).dtype) for k in _MARCHED})
+        e = s + len(part.t)
+        for k in _MARCHED + _RECORD:
+            getattr(whole, k)[s:e] = getattr(part, k)
+        whole.rate_gap = part.rate_gap
+        s = e
+        del part  # the next block is built without this one
+    return whole
 
 
 # ----------------------------------------------------------------------

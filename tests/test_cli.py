@@ -262,7 +262,7 @@ class TestInverse:
         hist = solver.solve(solver.maneuver_spec("level", 1e-2), mirage)
         hist.delta_l[3] = -0.0
         hist.beta[5] = -0.0
-        write_history(hist, tmp_path / "h.csv", "deg")
+        write_history([hist], tmp_path / "h.csv", "deg")
         lines = (tmp_path / "h.csv").read_text().splitlines()
         names = HISTORY_HEADER.split(",")
         assert lines[4].split(",")[names.index("delta_l")] == "0"
@@ -291,7 +291,7 @@ class TestInverse:
         hist.stall[[5, 7, 13]] = True
         hist.reverse_thrust[[6, 7, 14]] = True
         monkeypatch.setattr(solver, "STATION_BLOCK", 7)
-        write_history(hist, tmp_path / "h.csv", "deg")
+        write_history([hist], tmp_path / "h.csv", "deg")
         cols = _history_columns(hist, "deg", slice(None))
         fields = [field for _, field, _ in HISTORY_COLUMNS]
         want = [HISTORY_HEADER + "\n"] + [
@@ -317,7 +317,7 @@ class TestInverse:
         for hist in (short, roll_1e3):
             tracemalloc.start()
             try:
-                write_history(hist, tmp_path / "h.csv", "deg")
+                write_history([hist], tmp_path / "h.csv", "deg")
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -331,14 +331,93 @@ class TestInverse:
         # Xeon) with one (2048, 21) float64 block beside the 12 columns
         # it computes (the angles and the flags), bound with a 20 % margin
         path = tmp_path / "h.csv"
-        write_history(roll_1e3, path, "deg")  # first-call caches
+        write_history([roll_1e3], path, "deg")  # first-call caches
         tracemalloc.start()
         try:
-            write_history(roll_1e3, path, "deg")
+            write_history([roll_1e3], path, "deg")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak / solver.STATION_BLOCK < 330
+
+    def test_streamed_outputs_are_the_whole_runs(self, tmp_path, capsys,
+                                                 monkeypatch):
+        # the 601 stations reach the writer and the summary as 85 parts of
+        # 7 stations and one of 6; the files and lines are the whole run's
+        assert run("inverse", "--maneuver", "mirage-roll", "--dt", "1e-2",
+                   "--out", str(tmp_path / "whole")) == EXIT_OK
+        whole_lines = capsys.readouterr().out.replace(
+            str(tmp_path / "whole"), str(tmp_path / "parts"))
+        monkeypatch.setattr(solver, "STATION_BLOCK", 7)
+        real, sizes = solver.march, []
+
+        def counted(*args):
+            for part in real(*args):
+                sizes.append(len(part.t))
+                yield part
+
+        monkeypatch.setattr(solver, "march", counted)
+        assert run("inverse", "--maneuver", "mirage-roll", "--dt", "1e-2",
+                   "--out", str(tmp_path / "parts")) == EXIT_OK
+        assert sizes == [7] * 85 + [6]
+        assert capsys.readouterr().out == whole_lines
+        for name in ("history.csv", "summary.txt"):
+            got = (tmp_path / "parts" / name).read_bytes()
+            assert got == (tmp_path / "whole" / name).read_bytes(), name
+            assert hashlib.sha256(got).hexdigest() == \
+                self.PINNED_SHA256[name], name
+
+    def test_failure_after_a_written_part_leaves_no_history(
+            self, tmp_path, capsys, monkeypatch):
+        # the march fails in its fourth part of 7 stations, after three
+        # parts went to the history file: the partial file is removed
+        monkeypatch.setattr(solver, "STATION_BLOCK", 7)
+        real_columns, formatted = cli._history_columns, []
+
+        def counting(*args):
+            formatted.append(None)
+            return real_columns(*args)
+
+        real, calls, seen = dynamics.sideslip_accel, [], []
+
+        def failing(*args):
+            calls.append(None)
+            if len(calls) == 4 * 25:
+                seen.append((len(formatted),
+                             (tmp_path / "history.csv").exists()))
+                raise ZeroVelocity("synthetic zero speed")
+            return real(*args)
+
+        monkeypatch.setattr(cli, "_history_columns", counting)
+        monkeypatch.setattr(dynamics, "sideslip_accel", failing)
+        assert run("inverse", "--maneuver", "mirage-roll", "--dt", "1e-2",
+                   "--out", str(tmp_path)) == EXIT_NUMERICAL
+        assert "marching loop failed at station 25" in \
+            capsys.readouterr().err
+        assert seen == [(3, True)]
+        assert not (tmp_path / "history.csv").exists()
+        assert not (tmp_path / "summary.txt").exists()
+
+    def test_inverse_peak_memory_grows_only_by_the_ground_block(
+            self, tmp_path, capsys, monkeypatch):
+        # the march streams its parts to the files, so of what is alive
+        # at the peak only setup's (3, n) ground block, 24 B a station,
+        # grows with the run: 147,605 -> 180,126 B traced from 601 to
+        # 2,401 stations, 18 B a station (2-vCPU AVX-512 Xeon). Keeping
+        # the whole solution until the files were written took 192,690 ->
+        # 596,920 B here, 225 B a station
+        monkeypatch.setattr(solver, "STATION_BLOCK", 64)
+        given = ["inverse", "--maneuver", "level", "--out", str(tmp_path)]
+        assert run(*given, "--dt", "1e-2") == EXIT_OK  # first-call caches
+        peaks = []
+        for dt in ("1e-2", "2.5e-3"):
+            tracemalloc.start()
+            try:
+                assert run(*given, "--dt", dt) == EXIT_OK
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert (peaks[1] - peaks[0]) / (2401 - 601) <= 48, peaks
 
     def test_unknown_maneuver_is_input_error(self, tmp_path, capsys):
         assert run("inverse", "--maneuver", "loop", "--out",
@@ -611,7 +690,7 @@ class TestForward:
         # 328 B with the block alive through the flight, and about 239 B
         # when run_forward copies out the 8 flown columns and frees it
         path = tmp_path / "h.csv"
-        write_history(roll_1e3, path, "deg")
+        write_history([roll_1e3], path, "deg")
         replay = ("forward", "--history", str(path), "--angles", "deg",
                   "--out", str(tmp_path))
         assert run(*replay) == EXIT_OK  # first-call imports and caches
@@ -661,7 +740,7 @@ class TestReadHistory:
         hist = solver.solve(solver.maneuver_spec("mirage-roll", 1e-2),
                             mirage)
         path = tmp_path / "h.csv"
-        write_history(hist, path, unit)
+        write_history([hist], path, unit)
         cols = read_history(path, unit)
         shared = cols["t"].base
         assert shared.shape == (hist.grid.count, len(HISTORY_COLUMNS))
@@ -687,7 +766,7 @@ class TestReadHistory:
         # match and exit 0; an 'x' or a 20-field row escaped as a
         # ValueError traceback
         path = tmp_path / "h.csv"
-        write_history(level_1e2, path, "rad")
+        write_history([level_1e2], path, "rad")
         lines = path.read_text().splitlines()
         parts = lines[6].split(",")
         idx = HISTORY_HEADER.split(",").index(column)
@@ -711,7 +790,7 @@ class TestReadHistory:
         # to verdict = match, exit 0 (the dt 1e-2 roll: path 1198 m, not
         # 1200 m); other names were read by position, also exit 0
         path = tmp_path / "h.csv"
-        write_history(level_1e2, path, "rad")
+        write_history([level_1e2], path, "rad")
         lines = path.read_text().splitlines()
         if case == "missing":
             del lines[0]
@@ -746,7 +825,7 @@ class TestReadHistory:
     def test_one_data_row_is_input_error(self, tmp_path, capsys, level_1e2):
         # a replay needs a time step, so at least two stations
         path = tmp_path / "h.csv"
-        write_history(level_1e2, path, "rad")
+        write_history([level_1e2], path, "rad")
         path.write_text("".join(path.read_text().splitlines(True)[:2]))
         assert run("forward", "--history", str(path), "--angles", "rad",
                    "--out", str(tmp_path)) == EXIT_INPUT

@@ -747,6 +747,29 @@ class TestBlockedSolve:
         assert np.float64(blocked.rate_gap).tobytes() == \
             np.float64(whole.rate_gap).tobytes()
 
+    @pytest.mark.parametrize("name", sorted(SPECS))
+    def test_solve_is_the_march_parts_joined(self, mirage, monkeypatch,
+                                             name):
+        # parts of at most 7 stations, the last one 8, joined in order,
+        # are the default-block solve, which is the 7-station one
+        spec = self.SPECS[name]()
+        whole = solve(spec, mirage)
+        monkeypatch.setattr(solver, "STATION_BLOCK", 7)
+        parts = list(solver.march(spec, mirage))
+        sizes = [len(part.t) for part in parts]
+        assert max(sizes[:-1], default=7) <= 7 and sizes[-1] <= 8
+        assert sum(sizes) == whole.grid.count
+        for f in fields(whole):
+            want = getattr(whole, f.name)
+            if isinstance(want, np.ndarray):
+                got = np.concatenate([getattr(p, f.name) for p in parts])
+                assert got.dtype == want.dtype, f.name
+                assert got.tobytes() == want.tobytes(), f.name
+        gaps = [part.rate_gap for part in parts]
+        assert gaps == sorted(gaps)  # a running maximum
+        assert np.float64(gaps[-1]).tobytes() == \
+            np.float64(whole.rate_gap).tobytes()
+
 
 class TestCascadeClosure:
     """The closed-form cascade passes against the pass-by-pass oracle."""

@@ -8,11 +8,14 @@ process and prints one JSON line, the last line of stdout (the CLI's
 own "wrote ..." lines come before it): the exit status; in call order,
 VmRSS and VmHWM (MB, from ``/proc/self/status``, Linux only) after the
 package import and after each return of ``solver.setup``,
-``solver.initialize``, ``solver.solve``, ``cli.write_history``,
-``cli.write_summary``, ``cli.read_history`` and ``fwd.simulate``; and
-``ru_maxrss_mb``, the process's own ``resource.getrusage`` peak at exit.
-VmHWM is the process's high-water mark so far, so the run peaked inside
-the phase of the first point whose VmHWM equals the last point's.
+``solver.initialize``, ``solver.march``, ``solver.solve``,
+``cli.write_history``, ``cli.write_summary``, ``cli.read_history`` and
+``fwd.simulate``; and ``ru_maxrss_mb``, the process's own
+``resource.getrusage`` peak at exit. VmHWM is the process's high-water
+mark so far, so the run peaked inside the phase of the first point whose
+VmHWM equals the last point's. ``march`` returns once its set-up is
+done, so in an ``inverse`` run the march itself falls in the
+``write_history`` phase, which reads the parts as they are marched.
 
 The probes themselves move the peak: reading ``/proc/self/status``
 between phases changes the heap layout, and VmHWM can end about 1.7 MB
@@ -61,6 +64,7 @@ def main(argv: list) -> int:
     for owner, attr, phase in (
             (solver, "setup", "setup"),
             (solver, "initialize", "initialize"),
+            (solver, "march", "march"),
             (solver, "solve", "solve"),
             (cli, "write_history", "write_history"),
             (cli, "write_summary", "write_summary"),
