@@ -24,6 +24,7 @@ import copy
 import math
 import sys
 from dataclasses import fields
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -244,66 +245,96 @@ def write_summary(summary: RunSummary, path, unit: str):
 
 
 def read_history(path, unit: str):
-    """Read a history file back into arrays keyed by ``SolutionHistory``
-    field (``xg``, ``alpha``, ``thrust``, ...), angles in radians.
-
-    Line 1 must be ``HISTORY_HEADER``. The rest is read once into one
-    ``(n, 21)`` float64 block. Each column is a view of it, and the angle
-    columns are converted in place, so the file is held once; every entry
-    of every column is checked. A bad entry or no data row is an error.
-    """
+    """The grid of a history file, and an iterator over its data rows in
+    ``(k, 21)`` float64 blocks of at most ``STATION_BLOCK`` rows, angles
+    in radians, each read when reached. Line 1 must be ``HISTORY_HEADER``.
+    The time column, 8 B a station, is read now for the grid, so a short
+    or non-uniform file fails before any flight. Every entry is checked;
+    a bad one is an error naming its line."""
     with open(path, encoding="utf-8") as fh:
         if fh.readline().rstrip("\r\n") != HISTORY_HEADER:
             raise ConfigFileError(f"{path}: line 1: not the history header")
-    data = load_numeric_text(path, path, len(HISTORY_COLUMNS), ",", skip=1)
-    if not len(data):
+        firsts = (line.partition(",")[0] for line in fh)  # the t field
+        t = load_numeric_text(path, firsts, len(HISTORY_COLUMNS), ",", skip=1,
+                              usecols=(0,))[:, 0]
+    if not len(t):
         raise ConfigFileError(f"{path}: no data rows after the header")
-    s = _angle_scale(unit)
-    cols = {}
-    for i, (_, field, angle) in enumerate(HISTORY_COLUMNS):
-        cols[field] = data[:, i]
-        if angle:
-            cols[field] /= s
-    return cols
+    scale = [_angle_scale(unit) if angle else 1.0
+             for _, _, angle in HISTORY_COLUMNS]
+
+    def blocks():
+        with open(path, encoding="utf-8") as fh:
+            fh.readline()
+            for line in fh:  # a block's first line, then the rest of it
+                block = load_numeric_text(
+                    path, chain((line,), islice(fh, solver.STATION_BLOCK - 1)),
+                    len(HISTORY_COLUMNS), ",", skip=1)
+                if len(block):
+                    block /= scale  # in place; x / 1.0 is x
+                    yield block
+
+    return UniformGrid(float(t[0]), time_step(path, t), len(t)), blocks()
 
 
-def _deviation_report(run, track, args, path) -> bool:
-    """Compare a forward run against the trajectory ``track``, the
-    arrays (x_g, y_g, z_g, phi); returns whether they mismatch."""
-    xg, yg, zg, _ = track
-    dx, dy, dz, dphi = (float(np.abs(got - want).max()) for got, want
-                        in zip((run.xg, run.yg, run.zg, run.phi), track))
-    span = np.hypot(np.diff(xg), np.diff(yg))
-    path_length = float(np.sum(np.hypot(span, np.diff(zg))))
-    pos_tol = args.pos_tol_frac * max(path_length, 1.0)
-    phi_tol = math.radians(args.phi_tol_deg)
-    mismatch = max(dx, dy, dz) > pos_tol or dphi > phi_tol
-    _write_report(path, [
-        ("path_length_m", _fmt(path_length)),
-        ("max_dev_x_m", _fmt(dx)),
-        ("max_dev_y_m", _fmt(dy)),
-        ("max_dev_z_m", _fmt(dz)),
-        ("max_dev_phi_deg", _fmt(math.degrees(dphi))),
-        ("phi_end_deg", _fmt(math.degrees(float(run.phi[-1])))),
-        ("pos_tol_m", _fmt(pos_tol)),
-        ("phi_tol_deg", _fmt(args.phi_tol_deg)),
-        ("verdict", "mismatch" if mismatch else "match"),
-    ])
-    return mismatch
+# the columns that a replay flies, and those of the track it is judged by
+_CONTROLS = ("delta_l", "delta_m", "delta_n", "thrust")
+_TRACK = ("xg", "yg", "zg", "phi")
 
 
-def _refly(initial, controls, coeffs, track, cfg, args, path) -> int:
-    """Fly ``controls`` from ``initial`` with ``coeffs`` and write the
-    deviation from ``track`` to ``path``; a failed flight mismatches."""
+def _refly(initial, grid, parts, coeffs, cfg, args, path) -> int:
+    """Fly the controls of ``parts``, the run's parts in station order as
+    columns by field name, from ``initial`` with ``coeffs``; write their
+    track's deviation to ``path``. A failed flight mismatches."""
+    tracks = []  # the parts read and not yet judged
+    dev, segments = [0.0] * len(_TRACK), np.empty(grid.count - 1)
+
+    def controls():
+        for cols in parts:
+            tracks.append(cols)
+            yield fwd.ControlHistory(grid, *(cols[k] for k in _CONTROLS))
+
+    def judge(flown):
+        """Fold the flown parts into the largest deviations, exact under
+        any partition, and the segment lengths, 8 B a station, for one sum
+        (a sum of sums can differ). Returns the last part: the run's grid."""
+        s, before = 0, [np.empty(0)] * 3  # x, y, z of station s - 1
+        for run in flown:
+            cols = tracks.pop(0)
+            for j, k in enumerate(_TRACK):
+                dev[j] = max(dev[j], float(
+                    np.abs(getattr(run, k) - cols[k]).max()))
+            dx, dy, dz = (np.diff(cols[k], prepend=b)
+                          for k, b in zip(_TRACK, before))
+            e = s + len(run.phi)
+            np.hypot(np.hypot(dx, dy), dz, out=segments[max(s - 1, 0):e - 1])
+            s, before = e, [cols[k][-1] for k in _TRACK[:3]]
+        return run
+
     try:
-        run = fwd.simulate(initial, controls, cfg, coeffs)
+        last = fwd.simulate(initial, controls(), cfg, coeffs, judge)
+    except ConfigFileError:
+        raise  # a bad row, read as the flight reached it
     except FlightMechanicsError as err:
+        for _ in parts:  # every row is checked before the verdict
+            pass
         # the controls drove the simulation out of its validity range
         _write_report(path, [("verdict", "mismatch"),
                              ("forward_failure", err)])
         print(f"forward run failed: {err}", file=sys.stderr)
         return EXIT_MISMATCH
-    mismatch = _deviation_report(run, track, args, path)
+    path_length = float(np.sum(segments))
+    pos_tol = args.pos_tol_frac * max(path_length, 1.0)
+    mismatch = (max(dev[:3]) > pos_tol
+                or dev[3] > math.radians(args.phi_tol_deg))
+    _write_report(path, [
+        ("path_length_m", _fmt(path_length)),
+        *((f"max_dev_{axis}_m", _fmt(d)) for axis, d in zip("xyz", dev)),
+        ("max_dev_phi_deg", _fmt(math.degrees(dev[3]))),
+        ("phi_end_deg", _fmt(math.degrees(float(last.phi[-1])))),
+        ("pos_tol_m", _fmt(pos_tol)),
+        ("phi_tol_deg", _fmt(args.phi_tol_deg)),
+        ("verdict", "mismatch" if mismatch else "match"),
+    ])
     print(f"wrote {path}")
     return EXIT_MISMATCH if mismatch else EXIT_OK
 
@@ -341,39 +372,37 @@ def run_inverse(args, cfg: AircraftConfig) -> int:
 def run_forward(args, cfg: AircraftConfig) -> int:
     """Re-fly a history file: the start, grid and controls from its
     columns by field name, the lift curve from the 1-g trim at station 0.
-    The flight holds copies of the 8 columns it reads, not the block."""
-    cols = read_history(args.history, args.angles)
-    t = cols["t"]
-    controls = fwd.ControlHistory(
-        grid=UniformGrid(float(t[0]), time_step(args.history, t), len(t)),
-        **{n: cols[n].copy() for n in ("delta_l", "delta_m", "delta_n",
-                                       "thrust")})
-    initial = FlightState(**{f.name: float(cols[f.name][0])
+    The flight reads the file a block at a time."""
+    grid, blocks = read_history(args.history, args.angles)
+    names = [field for _, field, _ in HISTORY_COLUMNS]
+    first = dict(zip(names, next(blocks).T))
+    initial = FlightState(**{f.name: float(first[f.name][0])
                              for f in fields(FlightState)})
-    track = tuple(cols[n].copy() for n in ("xg", "yg", "zg", "phi"))
-    del cols, t  # frees the parsed block: the flight reads only copies
+    parts = chain((first,), (dict(zip(names, b.T)) for b in blocks))
+    del first  # the flight holds one block and the next
     # the inverse run's trim-shifted lift curve, from its first station
     try:
         ref = aero.equilibrium_reference(cfg, density(initial.zg), initial.v)
     except tuple(_REFUSALS) as err:
         raise type(err)(f"{err} at station 0") from None
-    return _refly(initial, controls, ref.coeffs, track, cfg, args,
+    return _refly(initial, grid, parts, ref.coeffs, cfg, args,
                   _out_dir(args) / "forward.txt")
 
 
 def run_roundtrip(args, cfg: AircraftConfig) -> int:
-    """Solve, write the history, and re-fly the solved controls. The
-    flight holds copies of the 4 control columns and views of the track,
-    not the solved history."""
+    """Solve, write the history, and re-fly the solved controls as one
+    part. The flight holds copies of the 4 control columns and views of
+    the track, not the solved history."""
     hist = solver.solve(_resolve_spec(args, args.dt), cfg)
     out = _out_dir(args)
     write_history([hist], out / "history.csv", args.angles)
+    initial, coeffs, grid = hist.state_at(0), hist.reference.coeffs, hist.grid
     # the deep copy holds the 4 control columns, not the record block
-    initial, controls = hist.state_at(0), copy.deepcopy(hist.controls())
-    coeffs, track = hist.reference.coeffs, (hist.xg, hist.yg, hist.zg,
-                                            hist.phi)
+    controls = copy.deepcopy(hist.controls())
+    cols = {k: getattr(controls if k in _CONTROLS else hist, k)
+            for k in _CONTROLS + _TRACK}
     del hist  # frees the record block: the flight reads only the above
-    return _refly(initial, controls, coeffs, track, cfg, args,
+    return _refly(initial, grid, [cols], coeffs, cfg, args,
                   out / "roundtrip.txt")
 
 

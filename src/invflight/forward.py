@@ -65,8 +65,8 @@ _STATION_RECORD = struct.Struct("12d")
 _CONTROL_ROWS = struct.Struct("8d")
 
 
-def simulate(initial: FlightState, controls: ControlHistory,
-             cfg: AircraftConfig, coeffs) -> ForwardHistory:
+def simulate(initial: FlightState, controls, cfg: AircraftConfig, coeffs,
+             fold=None):
     """Integrate the body-axes equations of motion under the controls.
 
     The twelve-variable state is (u, v, w, p, q, r, phi, theta, psi,
@@ -75,15 +75,29 @@ def simulate(initial: FlightState, controls: ControlHistory,
     the control grid; controls are interpolated linearly between
     stations for the half-step stage evaluations. ``coeffs`` is the
     coefficient set flown: a solved ``hist`` flies ``hist.state_at(0)``
-    and ``hist.controls()`` with ``hist.reference.coeffs``. The four
-    control columns, which may be strided views, are stacked once into an
-    ``(n, 4)`` float64 table, 32 bytes a station, and a stage unpacks its
-    rows i and i + 1 from the table's buffer into floats. Each station
-    packs its state into one row of an ``(n, 12)`` block. A kernel error
-    or non-finite state raises ``SolverAbort`` at its step.
+    and ``hist.controls()`` with ``hist.reference.coeffs``.
+
+    ``controls`` is a ``ControlHistory``, or an iterator over a run's
+    parts in station order on its grid, read as the flight reaches them.
+    The flown ``ForwardHistory`` parts go to ``fold``, whose result is
+    returned (by default ``next``: the first part, all of a whole run). A
+    kernel error or non-finite state raises ``SolverAbort`` at its step.
     """
+    if isinstance(controls, ControlHistory):
+        controls = iter((controls,))
+    return (fold or next)(_flight(initial, controls, cfg, coeffs))
+
+
+def _flight(initial, controls, cfg, coeffs):
+    """The parts of ``simulate``'s flight. A part of stations s..e-1
+    stacks its control columns (maybe strided views) into a float64 table,
+    32 B a station, with rows s-2, s-1 and e of the parts around it, as
+    ``int((t - t0) / dt)`` can round one row low at a step's k1 and lands
+    on row i + 1 at its k4. A stage unpacks rows i and i + 1 from the
+    table's buffer; a station packs its state into an (e - s, 12) block."""
     inertia = dynamics.inertia_system(cfg)
-    grid = controls.grid
+    part = next(controls)
+    grid = part.grid
     n = grid.count
     dt = grid.dt
     t0 = grid.t0
@@ -99,10 +113,6 @@ def simulate(initial: FlightState, controls: ControlHistory,
     k_drag = coeffs.k_drag
     c_side_beta = coeffs.c_side_beta
 
-    # a memoryview: struct takes its buffer faster than an ndarray's
-    table = memoryview(np.stack((controls.delta_l, controls.delta_m,
-                                 controls.delta_n, controls.thrust),
-                                axis=1, dtype=float))
     unpack_rows = _CONTROL_ROWS.unpack_from
     row_bytes = _CONTROL_ROWS.size // 2
     inv_dt = 1.0 / dt
@@ -115,8 +125,8 @@ def simulate(initial: FlightState, controls: ControlHistory,
         if i > last:  # the last step's k4: rows i and i + 1 still exist
             i = last
         frac = x - i
-        dl0, dm0, dn0, th0, dl1, dm1, dn1, th1 = unpack_rows(table,
-                                                             row_bytes * i)
+        dl0, dm0, dn0, th0, dl1, dm1, dn1, th1 = unpack_rows(
+            table, row_bytes * (i - base))
         delta_l = dl0 + (dl1 - dl0) * frac
         delta_m = dm0 + (dm1 - dm0) * frac
         delta_n = dn0 + (dn1 - dn0) * frac
@@ -161,19 +171,35 @@ def simulate(initial: FlightState, controls: ControlHistory,
 
     names = ("u", "v_side", "w", "p", "q", "r", "phi", "theta", "psi",
              "xg", "yg", "zg")
-    block = np.empty((n, len(names)))
     pack_station = _STATION_RECORD.pack_into
-
-    pack_station(block, 0, *y)
-    for i in range(n - 1):
-        t_n = t0 + i * dt
-        try:
-            y, _ = rk4_step(rates, t_n, y, dt)
-            if not all(map(math.isfinite, y)):
-                raise NonFiniteState("forward state went non-finite")
-            pack_station(block, _STATION_RECORD.size * (i + 1), *y)
-        except FlightMechanicsError as err:
-            raise SolverAbort("forward simulation", i + 1, err) from err
-
-    return ForwardHistory(grid=grid, t=grid.times(),
-                          **dict(zip(names, block.T)))
+    carry = np.empty((0, 4))  # rows s-2 and s-1 of the table
+    s = 0
+    while part is not None:
+        ahead = next(controls, None)
+        c, k = len(carry), len(part.thrust)
+        e = s + k
+        rows = np.empty((c + k + (ahead is not None), 4))
+        rows[:c] = carry
+        np.stack((part.delta_l, part.delta_m, part.delta_n, part.thrust),
+                 axis=1, out=rows[c:c + k])
+        if ahead is not None:
+            rows[-1] = (ahead.delta_l[0], ahead.delta_m[0],
+                        ahead.delta_n[0], ahead.thrust[0])
+        # row 0 is station base; struct reads a memoryview the fastest
+        table, base = memoryview(rows), s - c
+        carry = rows[max(c + k - 2, 0):c + k]
+        block = np.empty((k, len(names)))
+        if s == 0:
+            pack_station(block, 0, *y)
+        for i in range(max(s - 1, 0), e - 1):
+            t_n = t0 + i * dt
+            try:
+                y, _ = rk4_step(rates, t_n, y, dt)
+                if not all(map(math.isfinite, y)):
+                    raise NonFiniteState("forward state went non-finite")
+                pack_station(block, _STATION_RECORD.size * (i + 1 - s), *y)
+            except FlightMechanicsError as err:
+                raise SolverAbort("forward simulation", i + 1, err) from err
+        yield ForwardHistory(grid=grid, t=grid.times(s, e),
+                             **dict(zip(names, block.T)))
+        part, s = ahead, e

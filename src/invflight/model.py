@@ -65,7 +65,9 @@ _MIN_SAMPLE_ROWS = 5
 def off_spacing(steps, dt: float) -> bool:
     """Whether a step of ``steps`` strays from the spacing ``dt`` by more
     than the one sample-spacing tolerance, 1e-9 of max(``dt``, 1 s)."""
-    return bool(np.max(np.abs(steps - dt)) > 1e-9 * max(dt, 1.0))
+    # max |steps - dt| without a temporary: rounding keeps the order
+    return bool(max(np.max(steps) - dt, dt - np.min(steps))
+                > 1e-9 * max(dt, 1.0))
 
 
 def time_step(path, t) -> float:
@@ -439,23 +441,27 @@ def _bad_line(path, width: int, delimiter, skip: int):
     return None
 
 
-def load_numeric_text(path, lines, width: int, delimiter=None, skip=0):
-    """The data rows of file ``path``, parsed by ``np.loadtxt`` from
-    ``lines`` (the path or its lines), as one ``(rows, width)`` block.
+def load_numeric_text(path, lines, width: int, delimiter=None, skip=0,
+                      usecols=None):
+    """The data rows of file ``path`` in ``lines`` (the path, or lines of
+    the file after its first ``skip``), parsed by ``np.loadtxt`` as one
+    ``(rows, width)`` block, or of the columns ``usecols`` only.
 
     The checks run on the whole block; a bad entry raises
-    ``ConfigFileError`` naming its line, looked up only on failure.
+    ``ConfigFileError`` naming the file's first bad line, looked up only
+    on failure.
     """
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")
         try:
-            data = np.loadtxt(lines, delimiter=delimiter, skiprows=skip,
+            data = np.loadtxt(lines, delimiter=delimiter, usecols=usecols,
                               ndmin=2)
         except ValueError as err:
             raise ConfigFileError(
                 f"{path}: {_bad_line(path, width, delimiter, skip) or err}"
             ) from None
-    if len(data) and (data.shape[1] != width or not np.isfinite(data).all()):
+    if len(data) and (data.shape[1] != len(usecols or range(width))
+                      or not np.isfinite(data).all()):
         raise ConfigFileError(
             f"{path}: {_bad_line(path, width, delimiter, skip)}")
     return data

@@ -36,9 +36,10 @@ class UniformGrid:
     dt: float
     count: int
 
-    def times(self) -> np.ndarray:
-        """``t0 + dt * arange(count)``, built in one array: the same bits."""
-        t = np.arange(self.count, dtype=float)
+    def times(self, start=0, stop=None) -> np.ndarray:
+        """``t0 + dt * arange(start, stop)`` in one array: the same bits in
+        any range (``stop`` defaults to ``count``)."""
+        t = np.arange(start, self.count if stop is None else stop, dtype=float)
         t *= self.dt
         t += self.t0
         return t

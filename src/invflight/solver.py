@@ -768,16 +768,14 @@ def _march(name, profiles, init, cfg):
         alpha_abs = out["alpha"] + shift
         stall = np.abs(alpha_abs, out=alpha_abs) > aero.STALL_ALPHA
         del alpha_abs
-        t = np.arange(s, s + m, dtype=float)  # the bits of ``grid.times()``
-        t *= dt
-        t += t0
         part = SolutionHistory(
-            grid=grid, maneuver=name, reference=init.reference, t=t,
+            grid=grid, maneuver=name, reference=init.reference,
+            t=grid.times(s, s + m),
             xg=profiles.xg[s:s + m], yg=profiles.yg[s:s + m],
             zg=profiles.zg[s:s + m], stall=stall,
             reverse_thrust=out["thrust"] < 0.0, rate_gap=max_gap,
             **{k: a[:m] for k, a in kept.items()}, **out)
-        del block, kept, qbar, out, t, stall  # only the part holds them
+        del block, kept, qbar, out, stall  # only the part holds them
         yield part
         del part  # the next block is built without this one
         s = e

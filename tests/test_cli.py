@@ -33,6 +33,15 @@ def run(*argv):
     return main(list(argv))
 
 
+def history_columns(path, unit):
+    """The columns of a history file by field name, its streamed blocks
+    read to the end and joined."""
+    _, blocks = read_history(path, unit)
+    data = np.concatenate(list(blocks))
+    return {field: data[:, j]
+            for j, (_, field, _) in enumerate(HISTORY_COLUMNS)}
+
+
 @pytest.fixture(scope="module")
 def roll_1e3(mirage):
     return solver.solve(solver.maneuver_spec("mirage-roll", 1e-3), mirage)
@@ -153,7 +162,7 @@ class TestInverse:
         out = tmp_path / "lvl"
         assert run("inverse", "--maneuver", "level", "--dt", "1e-3",
                    "--out", str(out)) == EXIT_OK
-        cols = read_history(out / "history.csv", "deg")
+        cols = history_columns(out / "history.csv", "deg")
         for name in ("delta_l", "delta_m", "delta_n"):
             assert np.all(cols[name] == 0.0)
         summary = (out / "summary.txt").read_text()
@@ -217,8 +226,8 @@ class TestInverse:
             "--out", str(d), "--angles", "deg")
         run("inverse", "--maneuver", "mirage-roll", "--dt", "1e-2",
             "--out", str(r), "--angles", "rad")
-        cd = read_history(d / "history.csv", "deg")
-        cr = read_history(r / "history.csv", "rad")
+        cd = history_columns(d / "history.csv", "deg")
+        cr = history_columns(r / "history.csv", "rad")
         for name in ("delta_n", "theta", "alpha_actual", "thrust", "p"):
             assert cr[name] == pytest.approx(cd[name], rel=1e-8, abs=1e-12)
 
@@ -434,7 +443,7 @@ class TestInverse:
         out = tmp_path / "out"
         assert run("inverse", "--maneuver-file", str(man), "--out",
                    str(out)) == EXIT_OK
-        cols = read_history(out / "history.csv", "deg")
+        cols = history_columns(out / "history.csv", "deg")
         assert np.max(np.abs(cols["delta_n"])) < 1e-6
         assert cols["thrust"][0] == pytest.approx(11555.0, abs=25.0)
         # an explicitly conflicting step size is an input error
@@ -468,9 +477,10 @@ class TestInverse:
         flown = []
         simulate = cli.fwd.simulate
 
-        def spy(initial, controls, cfg, coeffs):
-            flown.append(controls.grid.dt)
-            return simulate(initial, controls, cfg, coeffs)
+        def spy(initial, controls, cfg, coeffs, fold):
+            run = simulate(initial, controls, cfg, coeffs, fold)
+            flown.append(run.grid.dt)
+            return run
 
         monkeypatch.setattr(cli.fwd, "simulate", spy)
         assert run("forward", "--history", str(b / "history.csv"),
@@ -491,9 +501,10 @@ class TestRoundTrip:
                                for i in range(201)))
         flown = []
 
-        def spy(initial, controls, cfg, coeffs):
-            flown.append((initial, controls.grid, coeffs))
-            return fly(initial, controls, cfg, coeffs)
+        def spy(initial, controls, cfg, coeffs, fold):
+            run = fly(initial, controls, cfg, coeffs, fold)
+            flown.append((initial, run.grid, coeffs))
+            return run
 
         fly = cli.fwd.simulate
         monkeypatch.setattr(cli.fwd, "simulate", spy)
@@ -682,25 +693,32 @@ class TestForward:
 
 
     def test_replay_peak_memory_per_station(self, tmp_path, capsys,
-                                            roll_1e3):
-        # traced peak of the whole replay: about 448 B a station when
-        # read_history copied every column out of the loaded block and
-        # simulate turned the controls into float lists, about 352 B with
-        # the columns as views of the block and a packed control table,
-        # 328 B with the block alive through the flight, and about 239 B
-        # when run_forward copies out the 8 flown columns and frees it
-        path = tmp_path / "h.csv"
-        write_history([roll_1e3], path, "deg")
-        replay = ("forward", "--history", str(path), "--angles", "deg",
-                  "--out", str(tmp_path))
-        assert run(*replay) == EXIT_OK  # first-call imports and caches
-        tracemalloc.start()
-        try:
-            assert run(*replay) == EXIT_OK
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak / roll_1e3.grid.count < 260
+                                            monkeypatch, mirage):
+        # the replay reads, flies and judges the history a block at a
+        # time, so of what is alive at its peak only the time column with
+        # its steps (read for the grid, freed before the flight) or the
+        # track's segment lengths, 8 B a station each, grow with the run:
+        # 145,940 -> 172,823 B traced from 601 to 2,401 stations with the
+        # rest of this file, 15 B a station, and 3.5 B alone (2-vCPU
+        # AVX-512 Xeon). Reading the whole file into one (n, 21) block and
+        # flying whole columns took 219,150 -> 596,296 B alone, 210 B
+        monkeypatch.setattr(solver, "STATION_BLOCK", 64)
+        paths = []
+        for dt in (1e-2, 2.5e-3):
+            paths.append(tmp_path / f"level-{dt}.csv")
+            write_history([solver.solve(solver.maneuver_spec("level", dt),
+                                        mirage)], paths[-1], "deg")
+        replay = ("forward", "--out", str(tmp_path), "--history")
+        assert run(*replay, str(paths[0])) == EXIT_OK  # first-call caches
+        peaks = []
+        for path in paths:
+            tracemalloc.start()
+            try:
+                assert run(*replay, str(path)) == EXIT_OK
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert (peaks[1] - peaks[0]) / (2401 - 601) <= 24, peaks
 
     def test_non_finite_tolerances_are_input_errors(self, tmp_path, capsys):
         # a history flown with half its rudder mismatches at the default
@@ -736,20 +754,29 @@ def level_1e2(mirage):
 
 class TestReadHistory:
     @pytest.mark.parametrize("unit", ["deg", "rad"])
-    def test_columns_are_views_of_one_block(self, tmp_path, mirage, unit):
+    def test_columns_are_views_of_one_block(self, tmp_path, monkeypatch,
+                                            mirage, unit):
+        # the 601 rows stream as 85 blocks of 7 and one of 6, each one
+        # (k, 21) float64 array whose columns the replay takes as views;
+        # joined, they are the whole file as np.loadtxt reads it
         hist = solver.solve(solver.maneuver_spec("mirage-roll", 1e-2),
                             mirage)
         path = tmp_path / "h.csv"
         write_history([hist], path, unit)
-        cols = read_history(path, unit)
-        shared = cols["t"].base
-        assert shared.shape == (hist.grid.count, len(HISTORY_COLUMNS))
+        monkeypatch.setattr(solver, "STATION_BLOCK", 7)
+        grid, blocks = read_history(path, unit)
+        blocks = list(blocks)
+        assert grid == hist.grid
+        assert [len(b) for b in blocks] == [7] * 85 + [6]
+        for b in blocks:
+            assert b.dtype == np.float64 and b.flags.c_contiguous
+            assert b.shape[1] == len(HISTORY_COLUMNS)
+        got = np.concatenate(blocks)
         block = np.loadtxt(path, delimiter=",", skiprows=1)
         scale = 180.0 / np.pi if unit == "deg" else 1.0
         for j, (name, field, angle) in enumerate(HISTORY_COLUMNS):
-            assert np.shares_memory(cols[field], shared), name
             want = block[:, j] / scale if angle else block[:, j]
-            assert np.array_equal(cols[field], want), name
+            assert np.array_equal(got[:, j], want), name
 
     @pytest.mark.parametrize("column,entry,problem", [
         ("y_g", "nan", "non-finite entry"),
@@ -777,10 +804,79 @@ class TestReadHistory:
         lines[6] = ",".join(parts)
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ConfigFileError, match=f"line 7: {problem}"):
-            read_history(path, "rad")
+            history_columns(path, "rad")
         assert run("forward", "--history", str(path), "--angles", "rad",
                    "--out", str(tmp_path)) == EXIT_INPUT
         assert f"line 7: {problem}" in capsys.readouterr().err
+        assert not (tmp_path / "forward.txt").exists()
+
+    @pytest.mark.parametrize("column,entry,problem", [
+        ("theta_w", "nan", "line 40: non-finite entry"),
+        ("delta_n", "x", "line 40: non-numeric entry"),
+        ("flags", None, "line 40: expected 21 columns, got 20"),
+        ("t", "0.3805", "times do not increase uniformly"),
+    ])
+    def test_bad_entry_past_the_first_block_is_input_error(
+            self, tmp_path, capsys, monkeypatch, level_1e2, column, entry,
+            problem):
+        # line 40 is station 38, in the sixth block of 7 rows: a bad
+        # entry there stops the replay once the flight reaches it, after
+        # 5 blocks were read, and leaves no report; a time off the grid
+        # fails before any flight
+        path = tmp_path / "h.csv"
+        write_history([level_1e2], path, "rad")
+        lines = path.read_text().splitlines()
+        parts = lines[39].split(",")
+        idx = HISTORY_HEADER.split(",").index(column)
+        if entry is None:
+            del parts[idx]
+        else:
+            parts[idx] = entry
+        lines[39] = ",".join(parts)
+        path.write_text("\n".join(lines) + "\n")
+        monkeypatch.setattr(solver, "STATION_BLOCK", 7)
+        simulate, read = cli.fwd.simulate, []
+
+        def spy(initial, controls, cfg, coeffs, fold):
+            def counted():
+                for part in controls:
+                    read.append(len(part.thrust))
+                    yield part
+            return simulate(initial, counted(), cfg, coeffs, fold)
+
+        monkeypatch.setattr(cli.fwd, "simulate", spy)
+        with pytest.raises(ConfigFileError, match=problem):
+            history_columns(path, "rad")
+        assert run("forward", "--history", str(path), "--angles", "rad",
+                   "--out", str(tmp_path)) == EXIT_INPUT
+        assert problem in capsys.readouterr().err
+        assert read == ([] if column == "t" else [7] * 5)
+        assert not (tmp_path / "forward.txt").exists()
+
+    def test_bad_entry_after_a_failed_flight_is_input_error(
+            self, tmp_path, capsys, monkeypatch, level_1e2):
+        # flown from 10 m with the elevator held nose down, the level
+        # history meets the sea in its first blocks; its last row, which
+        # the flight never reaches, is still read, and its bad entry
+        # makes the replay an input error, not a mismatch
+        path = tmp_path / "h.csv"
+        write_history([level_1e2], path, "rad")
+        lines = path.read_text().splitlines()
+        names = lines[0].split(",")
+        iz, im = names.index("z_g"), names.index("delta_m")
+        dive = [lines[0]]
+        for line in lines[1:]:
+            parts = line.split(",")
+            parts[iz], parts[im] = "-10", "0.05"
+            dive.append(",".join(parts))
+        dive[-1] = dive[-1].replace(",0.05,", ",x,")
+        path.write_text("\n".join(dive) + "\n")
+        monkeypatch.setattr(solver, "STATION_BLOCK", 7)
+        assert run("forward", "--history", str(path), "--angles", "rad",
+                   "--out", str(tmp_path)) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert f"line {len(dive)}: non-numeric entry" in err
+        assert "forward run failed" not in err
         assert not (tmp_path / "forward.txt").exists()
 
     @pytest.mark.parametrize("case", ["missing", "renamed"])

@@ -176,6 +176,37 @@ class TestControlTable:
                                   getattr(copies, name)), name
 
 
+@pytest.fixture(scope="module")
+def roll_1e2(mirage):
+    return solve(maneuver_spec("mirage-roll", 1e-2), mirage)
+
+
+class TestParts:
+    # the dt 1e-2 roll's 601 stations as 86 parts of 7 (the last of 6)
+    # and as one part of a 2,048-station block, and its first 2 stations
+    # as 2 parts of 1
+    @pytest.mark.parametrize("stations, size, sizes", [
+        (601, 7, [7] * 85 + [6]),
+        (601, 2048, [601]),
+        (2, 1, [1, 1]),
+    ])
+    def test_parts_fly_the_whole_runs_bits(self, mirage, roll_1e2,
+                                           stations, size, sizes):
+        hist = roll_1e2
+        grid = UniformGrid(hist.grid.t0, hist.grid.dt, stations)
+        cols = [getattr(hist, k)[:stations] for k in CONTROL_COLUMNS]
+        parts = [ControlHistory(grid, *(c[s:s + size] for c in cols))
+                 for s in range(0, stations, size)]
+        start, coeffs = hist.state_at(0), hist.reference.coeffs
+        whole = simulate(start, ControlHistory(grid, *cols), mirage, coeffs)
+        flown = simulate(start, iter(parts), mirage, coeffs, fold=list)
+        assert [len(part.u) for part in flown] == sizes
+        for name in ("t",) + RECORD_COLUMNS:
+            got = np.concatenate([getattr(part, name) for part in flown])
+            assert got.tobytes() == getattr(whole, name).tobytes(), name
+        assert all(part.grid == whole.grid == grid for part in flown)
+
+
 class TestRoundTrip:
     def test_roll_maneuver_round_trip(self, mirage):
         hist = solve(maneuver_spec("mirage-roll", 1e-3), mirage)

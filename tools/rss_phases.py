@@ -16,6 +16,9 @@ mark so far, so the run peaked inside the phase of the first point whose
 VmHWM equals the last point's. ``march`` returns once its set-up is
 done, so in an ``inverse`` run the march itself falls in the
 ``write_history`` phase, which reads the parts as they are marched.
+Likewise ``read_history`` returns once it has checked the header and
+read the time column for the grid, so in a ``forward`` run the rows are
+parsed, flown and judged a block at a time in the ``fwd.simulate`` phase.
 
 The probes themselves move the peak: reading ``/proc/self/status``
 between phases changes the heap layout, and VmHWM can end about 1.7 MB
