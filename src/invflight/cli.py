@@ -273,7 +273,7 @@ def read_history(path, unit: str):
                     block /= scale  # in place; x / 1.0 is x
                     yield block
 
-    return UniformGrid(float(t[0]), time_step(path, t), len(t)), blocks()
+    return UniformGrid(float(t[0]), time_step(path, t, 1), len(t)), blocks()
 
 
 # the columns that a replay flies, and those of the track it is judged by

@@ -70,15 +70,20 @@ def off_spacing(steps, dt: float) -> bool:
                 > 1e-9 * max(dt, 1.0))
 
 
-def time_step(path, t) -> float:
+def time_step(path, t, skip=0) -> float:
     """The step of the time column ``t`` of file ``path``: the mean step,
     since a first step read far from t = 0 is less exact. Fewer than 2
-    rows, or times that do not increase uniformly, are an input error."""
+    rows, or times that do not increase uniformly, are an input error; the
+    first step off names its row's line (the data follow ``skip`` lines)."""
     if len(t) < 2:
         raise ConfigFileError(f"{path}: a step needs 2 rows, got {len(t)}")
     dt = float(t[-1] - t[0]) / (len(t) - 1)
-    if dt <= 0.0 or off_spacing(np.diff(t), dt):
-        raise ConfigFileError(f"{path}: times do not increase uniformly")
+    if dt <= 0.0 or off_spacing(np.diff(t), dt):  # the row only on failure
+        row = next(i for i, step in enumerate(np.diff(t), start=1)
+                   if step <= 0.0 or off_spacing(step, dt))
+        lineno = [n for n, _ in _data_lines(path, skip)][row]
+        raise ConfigFileError(
+            f"{path}: line {lineno}: times do not increase uniformly")
     return dt
 
 
@@ -263,8 +268,7 @@ class TrajectorySpec:
                                  f"{n} sample rows; the third-derivative "
                                  f"stencil needs at least {_MIN_SAMPLE_ROWS}"))
             else:
-                steps = np.diff(s.t)
-                if off_spacing(steps, self.dt):
+                if off_spacing(np.diff(s.t), self.dt):
                     problems.append(("non_uniform_samples",
                                      "sample times are not uniformly spaced "
                                      f"at dt = {self.dt}"))
@@ -376,31 +380,27 @@ def load_config(path) -> AircraftConfig:
     """
     values: dict[str, float] = {}
     seen: dict[str, int] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigFileError(
-                    f"{path}: line {lineno}: expected 'key = value', got {raw.strip()!r}")
-            key, _, text = line.partition("=")
-            key = key.strip()
-            text = text.strip()
-            if key not in CONFIG_KEYS:
-                raise ConfigFileError(
-                    f"{path}: line {lineno}: unknown key {key!r}")
-            if key in seen:
-                raise ConfigFileError(
-                    f"{path}: line {lineno}: duplicate key {key!r} "
-                    f"(first set on line {seen[key]})")
-            try:
-                values[key] = float(text)
-            except ValueError:
-                raise ConfigFileError(
-                    f"{path}: line {lineno}: key {key!r}: "
-                    f"{text!r} is not a number") from None
-            seen[key] = lineno
+    for lineno, line in _data_lines(path):
+        if "=" not in line:
+            raise ConfigFileError(f"{path}: line {lineno}: expected "
+                                  f"'key = value', got {line!r}")
+        key, _, text = line.partition("=")
+        key = key.strip()
+        text = text.strip()
+        if key not in CONFIG_KEYS:
+            raise ConfigFileError(
+                f"{path}: line {lineno}: unknown key {key!r}")
+        if key in seen:
+            raise ConfigFileError(
+                f"{path}: line {lineno}: duplicate key {key!r} "
+                f"(first set on line {seen[key]})")
+        try:
+            values[key] = float(text)
+        except ValueError:
+            raise ConfigFileError(
+                f"{path}: line {lineno}: key {key!r}: "
+                f"{text!r} is not a number") from None
+        seen[key] = lineno
 
     missing = [k for k in CONFIG_KEYS if k not in values]
     if missing:
@@ -419,25 +419,31 @@ def mirage_iii() -> AircraftConfig:
     return load_config(resources.files(__package__) / "mirage3.cfg")
 
 
-def _bad_line(path, width: int, delimiter, skip: int):
-    """Where and why the first data line after ``skip`` lines is not
-    ``width`` finite numbers (``delimiter`` None: commas or spaces)."""
+def _data_lines(path, skip=0):
+    """(number, text) of each data line of file ``path`` after its first
+    ``skip`` lines, as ``np.loadtxt`` reads them: comments cut, no blanks."""
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
-            if lineno <= skip or not line:
-                continue
-            parts = (line.split(delimiter) if delimiter
-                     else line.replace(",", " ").split())
-            if len(parts) != width:
-                return (f"line {lineno}: expected {width} columns, "
-                        f"got {len(parts)}")
-            try:
-                row = [float(p) for p in parts]
-            except ValueError:
-                return f"line {lineno}: non-numeric entry"
-            if not all(map(math.isfinite, row)):
-                return f"line {lineno}: non-finite entry"
+            if lineno > skip and line:
+                yield lineno, line
+
+
+def _bad_line(path, width: int, delimiter, skip: int):
+    """Where and why the first data line after ``skip`` lines is not
+    ``width`` finite numbers (``delimiter`` None: commas or spaces)."""
+    for lineno, line in _data_lines(path, skip):
+        parts = (line.split(delimiter) if delimiter
+                 else line.replace(",", " ").split())
+        if len(parts) != width:
+            return (f"line {lineno}: expected {width} columns, "
+                    f"got {len(parts)}")
+        try:
+            row = [float(p) for p in parts]
+        except ValueError:
+            return f"line {lineno}: non-numeric entry"
+        if not all(map(math.isfinite, row)):
+            return f"line {lineno}: non-finite entry"
     return None
 
 

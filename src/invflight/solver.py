@@ -4,8 +4,8 @@ Given the four prescribed constraint histories (three ground-axes
 coordinates plus bank angle), the solver produces the control time
 histories and all remaining flight variables:
 
-  setup         check the whole trajectory, keep its station coordinates,
-                and compute its kinematic profiles a block of stations at
+  setup         check the whole trajectory, then compute its station
+                coordinates and kinematic profiles a block of stations at
                 a time as the march reads them: speed, flight-path angles,
                 bank, air density, and their time derivatives (trajectory
                 derivatives analytic when available, finite differences
@@ -157,10 +157,12 @@ def maneuver_spec(name: str, dt: float) -> TrajectorySpec:
 # ----------------------------------------------------------------------
 
 
-# the stage table's columns, in the stage rate function's unpack order
+# the stage table's columns: the stage rate function unpacks the first
+# 14, in this order; the station coordinates go only into the solution
 _STAGE_COLUMNS = ("v", "v_dot", "v_ddot", "theta_w", "theta_w_dot",
                   "theta_w_ddot", "psi_w", "psi_w_dot", "psi_w_ddot",
-                  "phi", "phi_dot", "phi_ddot", "rho", "rho_dot")
+                  "phi", "phi_dot", "phi_ddot", "rho", "rho_dot",
+                  "xg", "yg", "zg")
 
 # stations per block of the stage table, so per part of the march and
 # per call of its deflection recovery, and per block the history writer
@@ -176,37 +178,32 @@ class KinematicProfiles:
     The marching scheme evaluates stage rates at station times and at
     the midpoints between stations, so every channel lives on a grid of
     spacing dt/2 with 2*count - 1 points; stations are the even points.
-    Only the ground coordinates are kept, as the rows of one
-    ``(3, count)`` block of station values (they go verbatim into the
-    solution history). ``stage_rows`` computes the rest from
+    No channel is kept: ``stage_rows`` computes them from
     ``channel(name, k, a, b)``, the k-th time derivative of a trajectory
     channel on points a..b-1 of its grid, which has ``scale`` points a
     station: 2 for analytic channels, 1 for sampled ones.
     """
 
     stations: UniformGrid
-    xg: np.ndarray
-    yg: np.ndarray
-    zg: np.ndarray
     channel: Callable
     scale: int
 
     def stage_rows(self):
         """The stage table a block at a time: for stations s..s+k, k <=
-        ``STATION_BLOCK``, the C-contiguous ``(2k+1, 14)`` float64 half-step
-        rows 2s..2s+2k, 112 bytes a row in the stage rate function's unpack
-        order. Consecutive blocks share their boundary row; nothing is
+        ``STATION_BLOCK``, the C-contiguous ``(2k+1, 17)`` float64 half-step
+        rows 2s..2s+2k in ``_STAGE_COLUMNS`` order, 136 bytes a row.
+        Consecutive blocks share their boundary row; nothing is
         computed before the first ``next``, and a block is not held here
         once it is yielded."""
         carry = [-0.0]
         for s in range(0, self.stations.count - 1, STATION_BLOCK):
             yield self._block(s, carry)
 
-    def _block(self, s, carry, ground=None):
+    def _block(self, s, carry):
         """Stations s..s+k as their table; ``carry`` holds the azimuth
         unwrap's running correction at station s, and the call moves it
-        on to s+k. Given ``ground``, the refusal pass instead: write the
-        block's station coordinates into it and stop after the refusals.
+        on to s+k. With ``carry`` None, the refusal pass instead: stop
+        after the refusals.
 
         Each row is the whole-run computation's, bit for bit: numpy's
         elementwise functions give the same bits on any chunk, 4 points
@@ -245,17 +242,15 @@ class KinematicProfiles:
         if np.any(ctw < _VERTICAL_TOL):
             raise VerticalFlight("vertical flight path at station "
                                  f"{station(ctw < _VERTICAL_TOL)}")
-        if ground is not None:
-            for row, c in zip(ground, (traj("x", 0)[own], traj("y", 0)[own],
-                                       z)):
-                row[s:e + 1] = c[::scale]
+        if carry is None:
             return None
 
         table = np.empty((2 * (e - s) + 1, len(_STAGE_COLUMNS)))
         (v_col, v_dot, v_ddot, theta_w, theta_w_dot, theta_w_ddot, psi_w,
          psi_w_dot, psi_w_ddot, phi, phi_dot, phi_ddot, rho,
-         rho_dot) = table[::2 // scale].T
-        v_col[:], theta_w[:] = v, elevation
+         rho_dot, xg, yg, zg) = table[::2 // scale].T
+        v_col[:], theta_w[:], zg[:] = v, elevation, z
+        xg[:], yg[:] = traj("x", 0)[own], traj("y", 0)[own]
         del elevation
         for k, col in enumerate((phi, phi_dot, phi_ddot)):
             col[:] = traj("phi", k)[own]
@@ -306,18 +301,17 @@ class KinematicProfiles:
 def setup(spec: TrajectorySpec) -> KinematicProfiles:
     """Turn a trajectory prescription into kinematic profiles.
 
-    Validates the spec, then block by block fills the station coordinates
-    and checks the altitude, speed and path elevation, computing nothing
-    else. A refusal is raised before any station is marched, as a check
-    of the whole run raises it: the first station out of the atmosphere,
-    else the first at zero speed, else the first on a vertical path.
+    Validates the spec, then block by block checks the altitude, speed
+    and path elevation, keeping nothing. A refusal is raised before any
+    station is marched, as a check of the whole run raises it: the first
+    station out of the atmosphere, else the first at zero speed, else the
+    first on a vertical path.
     Analytic channels are evaluated at every half step. Sampled channels
     are differentiated on the stations, the even rows, and each odd row
     then gets the mean of its neighbours.
     """
     spec.validate()
-    n = spec.station_count
-    dt = spec.dt
+    n, dt = spec.station_count, spec.dt
     if spec.analytic is not None:
         man = spec.analytic
         for name in "xyz":
@@ -340,13 +334,11 @@ def setup(spec: TrajectorySpec) -> KinematicProfiles:
             arr = np.asarray(getattr(samples, name)[a:b], dtype=float)
             return fd[k](arr, dt) if k else arr
 
-    ground = np.empty((3, n))  # x, y, z
-    profiles = KinematicProfiles(UniformGrid(t0, dt, n), *ground, channel,
-                                 scale)
+    profiles = KinematicProfiles(UniformGrid(t0, dt, n), channel, scale)
     first = {}
     for s in range(0, n - 1, STATION_BLOCK):
         try:
-            profiles._block(s, None, ground)
+            profiles._block(s, None)
         except (ZeroVelocity, VerticalFlight) as err:
             first.setdefault(type(err), err)
     if first:
@@ -431,9 +423,9 @@ def initialize(profiles: KinematicProfiles,
 #       16   45.87 deg                   45.78 deg
 CASCADE_SWEEPS = 4
 
-# one row of ``KinematicProfiles.stage_rows()``, and the marched head of
-# one station of the march's record block (state, then (p', q', r')),
-# read and written in place as packed doubles
+# the rate function's head of one row of ``KinematicProfiles.stage_rows()``,
+# and the marched head of one station of the march's record block (state,
+# then (p', q', r')), read and written in place as packed doubles
 _STAGE_ROW = struct.Struct("14d")
 _STATION_RECORD = struct.Struct("15d")
 
@@ -442,8 +434,8 @@ def _make_rate_function(rows, t0, half_dt, cfg, coeffs, lag):
     """Stage rate function over the 12-variable state.
 
     ``rows`` is a block of ``KinematicProfiles.stage_rows()`` whose first
-    row is at time ``t0``; a stage unpacks its half-step row from the
-    block's buffer into floats.
+    row is at time ``t0``; a stage unpacks the first 14 values of its
+    half-step row from the block's buffer into floats.
 
     The differentiated force balances need the angular accelerations
     (p', q', r'), which follow from the attitude accelerations they feed
@@ -482,7 +474,7 @@ def _make_rate_function(rows, t0, half_dt, cfg, coeffs, lag):
     c_drag0 = coeffs.c_drag0
     c_side_beta = coeffs.c_side_beta
     inv_half = 1.0 / half_dt
-    row_bytes, unpack_row = _STAGE_ROW.size, _STAGE_ROW.unpack_from
+    row_bytes, unpack_row = rows.strides[0], _STAGE_ROW.unpack_from
     sin, cos = math.sin, math.cos
 
     body_force = aero.body_force_coefficients
@@ -660,9 +652,8 @@ _RECORD = ("alpha", "beta", "theta", "psi", "thrust",
            "p", "q", "r", "p_dot", "q_dot", "r_dot",
            "delta_l", "delta_m", "delta_n")
 # what the history and the recovery need of the stage table's stations
-_KEPT = ("v", "phi", "theta_w", "psi_w")
+_KEPT = ("v", "phi", "theta_w", "psi_w", "xg", "yg", "zg")
 # the per-station arrays of a part besides its record block's columns
-# and its views of the ground coordinates
 _MARCHED = ("t", *_KEPT, "stall", "reverse_thrust")
 
 
@@ -674,8 +665,7 @@ def march(spec: TrajectorySpec, cfg: AircraftConfig):
     read. It yields the solution as ``SolutionHistory`` parts in station
     order, one per block of ``KinematicProfiles.stage_rows()``: at most
     ``STATION_BLOCK`` stations, the last part one more. Each part's
-    arrays are its own, except the ground coordinates, which are views
-    of setup's ``(3, n)`` block, and each value has the whole run's bits.
+    arrays are its own, and each value has the whole run's bits.
     """
     profiles = setup(spec)
     return _march(spec.name, profiles, initialize(profiles, cfg), cfg)
@@ -698,7 +688,6 @@ def _march(name, profiles, init, cfg):
     coeffs = init.reference.coeffs
     grid = profiles.stations
     n, dt, t0 = grid.count, grid.dt, grid.t0
-    shift = init.reference.alpha_shift
 
     pack_station = _STATION_RECORD.pack_into
     lag = [0.0, 0.0, 0.0]
@@ -764,15 +753,13 @@ def _march(name, profiles, init, cfg):
                 kept["v"][:m], qbar[:m], inertia, coeffs, cfg.wing_area,
                 cfg.span_ref, cfg.chord_ref)
         # |alpha_actual| in one temporary: the same bits as
-        # ``np.abs(alpha + shift)``
-        alpha_abs = out["alpha"] + shift
+        # ``np.abs(alpha + alpha_shift)``
+        alpha_abs = out["alpha"] + init.reference.alpha_shift
         stall = np.abs(alpha_abs, out=alpha_abs) > aero.STALL_ALPHA
         del alpha_abs
         part = SolutionHistory(
             grid=grid, maneuver=name, reference=init.reference,
-            t=grid.times(s, s + m),
-            xg=profiles.xg[s:s + m], yg=profiles.yg[s:s + m],
-            zg=profiles.zg[s:s + m], stall=stall,
+            t=grid.times(s, s + m), stall=stall,
             reverse_thrust=out["thrust"] < 0.0, rate_gap=max_gap,
             **{k: a[:m] for k, a in kept.items()}, **out)
         del block, kept, qbar, out, stall  # only the part holds them
@@ -784,18 +771,13 @@ def _march(name, profiles, init, cfg):
 def solve(spec: TrajectorySpec, cfg: AircraftConfig) -> SolutionHistory:
     """Solve the inverse problem over the whole trajectory: the parts of
     ``march`` gathered into one history, whose 18 solved columns are
-    strided views of one ``(n, 18)`` record block and whose ground
-    coordinates are the rows of setup's block."""
-    profiles = setup(spec)
-    parts = _march(spec.name, profiles, initialize(profiles, cfg), cfg)
+    strided views of one ``(n, 18)`` record block."""
     whole, s = None, 0
-    for part in parts:
+    for part in march(spec, cfg):
         if whole is None:  # after the first block's stage table is freed
             n = part.grid.count
-            block = np.empty((n, len(_RECORD)))
             whole = replace(
-                part, xg=profiles.xg, yg=profiles.yg, zg=profiles.zg,
-                **dict(zip(_RECORD, block.T)),
+                part, **dict(zip(_RECORD, np.empty((n, len(_RECORD))).T)),
                 **{k: np.empty(n, getattr(part, k).dtype) for k in _MARCHED})
         e = s + len(part.t)
         for k in _MARCHED + _RECORD:

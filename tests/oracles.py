@@ -217,7 +217,7 @@ def swept_stage_rates(row, state, seed, cfg, coeffs, sweeps):
      alpha_dot, beta_dot, theta_dot, psi_dot, p, q, r) = state
     (v, v_dot, v_ddot, theta_w, theta_w_dot, theta_w_ddot,
      psi_w, psi_w_dot, psi_w_ddot, phi, phi_dot, phi_ddot,
-     rho, rho_dot) = row
+     rho, rho_dot) = row[:14]
     qbar = 0.5 * rho * v * v
     qbar_dot = 0.5 * rho_dot * v * v + rho * v * v_dot
     c_lift = coeffs.c_lift0 + coeffs.c_lift_alpha * alpha

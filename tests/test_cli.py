@@ -407,26 +407,30 @@ class TestInverse:
         assert not (tmp_path / "history.csv").exists()
         assert not (tmp_path / "summary.txt").exists()
 
-    def test_inverse_peak_memory_grows_only_by_the_ground_block(
-            self, tmp_path, capsys, monkeypatch):
-        # the march streams its parts to the files, so of what is alive
-        # at the peak only setup's (3, n) ground block, 24 B a station,
-        # grows with the run: 147,605 -> 180,126 B traced from 601 to
-        # 2,401 stations, 18 B a station (2-vCPU AVX-512 Xeon). Keeping
-        # the whole solution until the files were written took 192,690 ->
-        # 596,920 B here, 225 B a station
-        monkeypatch.setattr(solver, "STATION_BLOCK", 64)
+    def test_inverse_peak_memory_growth_per_station(self, tmp_path, capsys,
+                                                    monkeypatch):
+        # the march streams its parts to the files and setup keeps no
+        # array, so nothing alive at the peak grows with the run:
+        # 98,698 -> 104,544 B traced from 101 to 401 stations in blocks of
+        # 25, 19 B a station (2-vCPU AVX-512 Xeon). Keeping setup's (3, n)
+        # ground block took 89,028 -> 109,866 B here, 69 B a station, and
+        # keeping the whole solution until the files were written
+        # 109,694 -> 195,896 B, 287 B a station. Each spacing runs once
+        # untraced first, so neither traced run builds a first-call cache
+        monkeypatch.setattr(solver, "STATION_BLOCK", 25)
         given = ["inverse", "--maneuver", "level", "--out", str(tmp_path)]
-        assert run(*given, "--dt", "1e-2") == EXIT_OK  # first-call caches
+        spacings = ("6e-2", "1.5e-2")
+        for dt in spacings:
+            assert run(*given, "--dt", dt) == EXIT_OK
         peaks = []
-        for dt in ("1e-2", "2.5e-3"):
+        for dt in spacings:
             tracemalloc.start()
             try:
                 assert run(*given, "--dt", dt) == EXIT_OK
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        assert (peaks[1] - peaks[0]) / (2401 - 601) <= 48, peaks
+        assert (peaks[1] - peaks[0]) / (401 - 101) <= 48, peaks
 
     def test_unknown_maneuver_is_input_error(self, tmp_path, capsys):
         assert run("inverse", "--maneuver", "loop", "--out",
@@ -814,7 +818,7 @@ class TestReadHistory:
         ("theta_w", "nan", "line 40: non-finite entry"),
         ("delta_n", "x", "line 40: non-numeric entry"),
         ("flags", None, "line 40: expected 21 columns, got 20"),
-        ("t", "0.3805", "times do not increase uniformly"),
+        ("t", "0.3805", "line 40: times do not increase uniformly"),
     ])
     def test_bad_entry_past_the_first_block_is_input_error(
             self, tmp_path, capsys, monkeypatch, level_1e2, column, entry,

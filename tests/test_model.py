@@ -185,7 +185,23 @@ class TestSampledManeuverFile:
         self._write(path, ["0 0 0 -5000 0", "0.1 1 0 -5000 0",
                            "0.25 2 0 -5000 0", "0.3 3 0 -5000 0",
                            "0.4 4 0 -5000 0"])
-        with pytest.raises(ConfigFileError, match="uniform"):
+        with pytest.raises(ConfigFileError,
+                           match="line 3: times do not increase uniformly"):
+            load_sampled_maneuver(path)
+
+    @pytest.mark.parametrize("times, line", [
+        ("0 0.1 0.25 0.3 0.4", 5),  # comment and blank lines count
+        ("0 0 0 0 0", 4),  # no step strays from a mean of 0; none is > 0
+    ])
+    def test_non_uniform_times_name_the_files_line(self, tmp_path, times,
+                                                   line):
+        rows = ["%s %d 0 -5000 0" % (t, i)
+                for i, t in enumerate(times.split())]
+        rows[1] += "  # the second sample"
+        path = tmp_path / "man.dat"
+        self._write(path, ["# t x y z phi", rows[0], ""] + rows[1:])
+        with pytest.raises(ConfigFileError, match=(
+                f"line {line}: times do not increase uniformly")):
             load_sampled_maneuver(path)
 
     def test_non_finite_entry_cites_line(self, tmp_path):

@@ -134,9 +134,10 @@ class TestSetup:
     def test_constraints_copied_exactly(self):
         prof = setup(maneuver_spec("mirage-roll", 1e-3))
         t = prof.stations.times()
-        assert np.array_equal(prof.xg, 200.0 * t)
-        assert np.all(prof.yg == 0.0)
-        assert np.all(prof.zg == -10000.0)
+        cols = {k: a[::2] for k, a in profile_columns(prof).items()}
+        assert np.array_equal(cols["xg"], 200.0 * t)
+        assert np.all(cols["yg"] == 0.0)
+        assert np.all(cols["zg"] == -10000.0)
 
     def test_helix_profiles(self):
         prof = profile_columns(setup(helix_spec()))
@@ -222,10 +223,12 @@ class TestSetup:
         sampled_helix_spec(dt=1e-3, n=6001)],
         ids=["roll", "sampled-helix"])
     def test_transient_memory(self, spec):
-        # what setup keeps is the (3, n) block of station coordinates,
-        # 24 B a station: about 248 B on the roll while it kept the
-        # (2n-1, 14) stage table too. Its refusal pass holds one block's
-        # temporaries at a time, so its peak does not grow with the run
+        # setup keeps no array: 1,312 B traced on the roll and 1,392 B on
+        # the sampled helix, where keeping the (3, n) block of station
+        # coordinates took 145,824 and 145,832 B, and keeping the
+        # (2n-1, 14) stage table too about 248 B a station. Its refusal
+        # pass holds one block's temporaries at a time, so its peak does
+        # not grow with the run
         setup(spec)
         tracemalloc.start()
         try:
@@ -233,9 +236,9 @@ class TestSetup:
             kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert kept / spec.station_count < 26
+        assert kept < 4096
         # in half-step arrays of one block (2 points a station, 8 B
-        # each): 12.1 on the roll and 3.7 on the sampled helix
+        # each): 8.4 on the roll and 3.7 on the sampled helix
         assert (peak - kept) / (16 * solver.STATION_BLOCK) < 16
 
     def test_sampled_midpoints_are_station_means(self):
@@ -275,7 +278,8 @@ class TestSetup:
                         - psi_w_dot * (v_dot * ctw - v * stw * theta_w_dot)
                         ) / vctw,
             phi=s.phi, phi_dot=d1(s.phi, dt), phi_ddot=d2(s.phi, dt),
-            rho=density(s.z), rho_dot=density_gradient(s.z) * zd)
+            rho=density(s.z), rho_dot=density_gradient(s.z) * zd,
+            xg=s.x, yg=s.y, zg=s.z)
         table = stage_table(setup(spec))
         assert len(expected) == len(TestStageTable.COLUMNS)
         for k, name in enumerate(TestStageTable.COLUMNS):
@@ -331,10 +335,11 @@ class TestSetup:
 
 
 class TestStageTable:
-    # the stage rate function's unpack order
+    # the stage rate function's unpack order, then the station coordinates
     COLUMNS = ("v", "v_dot", "v_ddot", "theta_w", "theta_w_dot",
                "theta_w_ddot", "psi_w", "psi_w_dot", "psi_w_ddot",
-               "phi", "phi_dot", "phi_ddot", "rho", "rho_dot")
+               "phi", "phi_dot", "phi_ddot", "rho", "rho_dot",
+               "xg", "yg", "zg")
 
     @pytest.mark.parametrize("spec", [maneuver_spec("mirage-roll", 1e-2),
                                       sampled_helix_spec()],
@@ -352,10 +357,11 @@ class TestStageTable:
             assert table.dtype == np.float64
             assert table.flags.c_contiguous
             assert table.shape == (len(table), len(self.COLUMNS))
-            # the packed row read of the rate function sees the same row
+            # the packed read of the rate function, at the row stride,
+            # sees the row's first 14 values
             for i in (0, 1, len(table) // 2, len(table) - 1):
-                assert row.unpack_from(table, row.size * i) == \
-                    tuple(table[i].tolist())
+                assert row.unpack_from(table, table.strides[0] * i) == \
+                    tuple(table[i, :14].tolist())
         for a, b in zip(blocks, blocks[1:]):
             assert a[-1].tobytes() == b[0].tobytes()
 
@@ -395,13 +401,13 @@ class TestStageTable:
         assert psi_w.tobytes() == want.tobytes()
         assert np.signbit(psi_w[0]) == (name == "minus-zero")
 
-    def test_nothing_is_kept_but_the_station_coordinates(self):
-        # the profiles hold no array of 2n-1 rows: the march reads the
-        # stage table a block at a time
+    def test_no_array_is_kept(self):
+        # the profiles hold no array: the march reads the stage table,
+        # station coordinates included, a block at a time
         prof = setup(maneuver_spec("mirage-roll", 1e-2))
         arrays = [f.name for f in fields(prof)
                   if isinstance(getattr(prof, f.name), np.ndarray)]
-        assert arrays == ["xg", "yg", "zg"]
+        assert arrays == []
 
 
 class TestInitialize:
