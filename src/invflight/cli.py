@@ -20,7 +20,6 @@ Exit codes: 0 success, 1 input error (a start that the set-up or the
 from __future__ import annotations
 
 import argparse
-import copy
 import math
 import sys
 from dataclasses import fields
@@ -145,31 +144,36 @@ def _history_columns(hist: solver.SolutionHistory, unit: str, rows):
 _HISTORY_ROW = "%.15g" + ",%.9g" * (len(HISTORY_COLUMNS) - 2) + ",%d\n"
 
 
-def write_history(parts, path, unit: str):
-    """Write the history file of one run from ``parts``, its
-    ``SolutionHistory`` parts in station order (a whole history is one
-    part), each read once, in turn."""
+def _write_rows(fh, hist, unit: str):
+    """Write the history rows of ``hist``, a run's part or all of it, to
+    the history file ``fh``."""
     # the writer's memory is one (block, 21) float64 array of stations,
     # formatted and written 16 rows a ``%`` (flags print through ``%d``)
     block = solver.STATION_BLOCK
     buf = np.empty((0, len(HISTORY_COLUMNS)))
+    for start in range(0, len(hist.t), block):
+        cols = _history_columns(hist, unit, slice(start, start + block))
+        k = len(cols["t"])
+        if k > len(buf):
+            buf = np.empty((k, len(HISTORY_COLUMNS)))
+        rows = np.stack([cols[f] for _, f, _ in HISTORY_COLUMNS],
+                        axis=1, out=buf[:k])
+        del cols  # the next block's columns are built without these
+        rows += 0.0  # turns -0.0 into 0.0, as ``_fmt`` does
+        for lo in range(0, k, 16):
+            group = rows[lo:lo + 16]
+            fh.write(_HISTORY_ROW * len(group)
+                     % tuple(group.ravel().tolist()))
+
+
+def write_history(parts, path, unit: str):
+    """Write the history file of one run from ``parts``, its
+    ``SolutionHistory`` parts in station order (a whole history is one
+    part), each read once, in turn."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(HISTORY_HEADER + "\n")
         for hist in parts:
-            for start in range(0, len(hist.t), block):
-                cols = _history_columns(hist, unit,
-                                        slice(start, start + block))
-                k = len(cols["t"])
-                if k > len(buf):
-                    buf = np.empty((k, len(HISTORY_COLUMNS)))
-                rows = np.stack([cols[f] for _, f, _ in HISTORY_COLUMNS],
-                                axis=1, out=buf[:k])
-                del cols  # the next block's columns are built without these
-                rows += 0.0  # turns -0.0 into 0.0, as ``_fmt`` does
-                for lo in range(0, k, 16):
-                    group = rows[lo:lo + 16]
-                    fh.write(_HISTORY_ROW * len(group)
-                             % tuple(group.ravel().tolist()))
+            _write_rows(fh, hist, unit)
             del hist  # the next part is marched without this one
 
 
@@ -282,16 +286,17 @@ _TRACK = ("xg", "yg", "zg", "phi")
 
 
 def _refly(initial, grid, parts, coeffs, cfg, args, path) -> int:
-    """Fly the controls of ``parts``, the run's parts in station order as
-    columns by field name, from ``initial`` with ``coeffs``; write their
-    track's deviation to ``path``. A failed flight mismatches."""
+    """Fly ``parts``, the run's parts in station order as pairs of a
+    ``ControlHistory`` and the track's columns by field name, from
+    ``initial`` with ``coeffs``; write the track's deviation to ``path``.
+    A failed flight mismatches."""
     tracks = []  # the parts read and not yet judged
     dev, segments = [0.0] * len(_TRACK), np.empty(grid.count - 1)
 
     def controls():
-        for cols in parts:
-            tracks.append(cols)
-            yield fwd.ControlHistory(grid, *(cols[k] for k in _CONTROLS))
+        for flown, track in parts:
+            tracks.append(track)
+            yield flown
 
     def judge(flown):
         """Fold the flown parts into the largest deviations, exact under
@@ -312,10 +317,13 @@ def _refly(initial, grid, parts, coeffs, cfg, args, path) -> int:
 
     try:
         last = fwd.simulate(initial, controls(), cfg, coeffs, judge)
-    except ConfigFileError:
-        raise  # a bad row, read as the flight reached it
     except FlightMechanicsError as err:
-        for _ in parts:  # every row is checked before the verdict
+        if (isinstance(err, ConfigFileError)
+                or getattr(err, "phase", None) == "marching loop"):
+            raise  # a bad row or a failed march, met as the flight read on
+        # read on to the end first: a replay checks every row, and a
+        # round trip marches and writes the rest of its history
+        for _ in parts:
             pass
         # the controls drove the simulation out of its validity range
         _write_report(path, [("verdict", "mismatch"),
@@ -385,25 +393,42 @@ def run_forward(args, cfg: AircraftConfig) -> int:
         ref = aero.equilibrium_reference(cfg, density(initial.zg), initial.v)
     except tuple(_REFUSALS) as err:
         raise type(err)(f"{err} at station 0") from None
-    return _refly(initial, grid, parts, ref.coeffs, cfg, args,
+    flights = ((fwd.ControlHistory(grid, *(cols[k] for k in _CONTROLS)),
+                cols) for cols in parts)
+    return _refly(initial, grid, flights, ref.coeffs, cfg, args,
                   _out_dir(args) / "forward.txt")
 
 
 def run_roundtrip(args, cfg: AircraftConfig) -> int:
-    """Solve, write the history, and re-fly the solved controls as one
-    part. The flight holds copies of the 4 control columns and views of
-    the track, not the solved history."""
-    hist = solver.solve(_resolve_spec(args, args.dt), cfg)
+    """Solve, write and re-fly in one pass. Each part of the march is
+    written to the history file and handed to the flight, which flies and
+    judges it once it has read the next, so at most two parts and one
+    stage block are alive. The flight starts from the first part's
+    station 0, with its lift curve, on its grid. A march that fails
+    leaves no history file and no report; after a failed flight the
+    march runs on, so the history is whole."""
+    parts = solver.march(_resolve_spec(args, args.dt), cfg)
     out = _out_dir(args)
-    write_history([hist], out / "history.csv", args.angles)
-    initial, coeffs, grid = hist.state_at(0), hist.reference.coeffs, hist.grid
-    # the deep copy holds the 4 control columns, not the record block
-    controls = copy.deepcopy(hist.controls())
-    cols = {k: getattr(controls if k in _CONTROLS else hist, k)
-            for k in _CONTROLS + _TRACK}
-    del hist  # frees the record block: the flight reads only the above
-    return _refly(initial, grid, [cols], coeffs, cfg, args,
-                  out / "roundtrip.txt")
+
+    def flights(fh, part):
+        while part is not None:
+            _write_rows(fh, part, args.angles)
+            yield part.controls(), {k: getattr(part, k) for k in _TRACK}
+            part = next(parts, None)
+
+    try:
+        with open(out / "history.csv", "w", encoding="utf-8",
+                  newline="\n") as fh:
+            fh.write(HISTORY_HEADER + "\n")
+            first = next(parts)
+            initial, grid = first.state_at(0), first.grid
+            coeffs, pairs = first.reference.coeffs, flights(fh, first)
+            del first  # the flight holds one part and the next
+            return _refly(initial, grid, pairs, coeffs, cfg, args,
+                          out / "roundtrip.txt")
+    except BaseException:
+        (out / "history.csv").unlink(missing_ok=True)
+        raise
 
 
 def run_trim(args, cfg: AircraftConfig) -> int:

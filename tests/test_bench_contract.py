@@ -83,7 +83,9 @@ def test_cli_exposes_child_names():
 def test_wrapped_paths_are_looked_up_at_call_time(tmp_path, monkeypatch,
                                                   capsys):
     # wrappers installed the way the tracer installs them must all be
-    # reached by the three benchmark operations, at small sizes
+    # reached by the three benchmark operations, at small sizes, and by a
+    # step-size study: no benchmark operation calls ``solver.solve`` since
+    # the round trip streams the march, and ``converge`` still does
     calls = dict.fromkeys(WRAPPED, 0)
 
     def counting(path, fn):
@@ -106,4 +108,7 @@ def test_wrapped_paths_are_looked_up_at_call_time(tmp_path, monkeypatch,
         0.01 * i, 2.0 * i, -5000.0 - 0.1 * i) for i in range(201)))
     assert cli.main(["roundtrip", "--maneuver-file", str(man),
                      "--out", str(tmp_path / "rt")]) == cli.EXIT_OK
+    assert cli.main(["converge", "--maneuver", "level", "--dt", "1e-2",
+                     "--dt", "2e-2", "--out", str(tmp_path / "cv")]) == \
+        cli.EXIT_OK
     assert [p for p, n in calls.items() if n == 0] == []

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import math
 import tracemalloc
@@ -22,7 +23,11 @@ from invflight.cli import (
     read_history,
     write_history,
 )
-from invflight.errors import ConfigFileError, ZeroVelocity
+from invflight.errors import (
+    AltitudeOutOfRange,
+    ConfigFileError,
+    ZeroVelocity,
+)
 from invflight.model import AnalyticManeuver, load_sampled_maneuver
 
 CONFIG = str(Path(__file__).resolve().parents[1] / "src" / "invflight"
@@ -538,6 +543,108 @@ class TestRoundTrip:
                       (out / "roundtrip.txt").read_text().splitlines())
         assert report["verdict"] == "match"
         assert abs(float(report["phi_end_deg"]) - 360.0) < 2.0
+
+    def test_march_failure_after_a_flown_part_leaves_no_files(
+            self, tmp_path, capsys, monkeypatch):
+        # the march fails in its fourth part of 7 stations, met as the
+        # flight reads ahead: three parts were written and two flown (13
+        # steps). It stays a numerical failure, not a forward mismatch,
+        # and leaves neither the partial history nor a report
+        monkeypatch.setattr(solver, "STATION_BLOCK", 7)
+        real_columns, formatted = cli._history_columns, []
+
+        def counting(*args):
+            formatted.append(None)
+            return real_columns(*args)
+
+        real_step, steps = cli.fwd.rk4_step, []
+
+        def stepping(*args):
+            steps.append(None)
+            return real_step(*args)
+
+        real, calls, seen = dynamics.sideslip_accel, [], []
+
+        def failing(*args):
+            calls.append(None)
+            if len(calls) == 4 * 25:
+                seen.append((len(formatted), len(steps),
+                             (tmp_path / "history.csv").exists()))
+                raise ZeroVelocity("synthetic zero speed")
+            return real(*args)
+
+        monkeypatch.setattr(cli, "_history_columns", counting)
+        monkeypatch.setattr(cli.fwd, "rk4_step", stepping)
+        monkeypatch.setattr(dynamics, "sideslip_accel", failing)
+        assert run("roundtrip", "--maneuver", "mirage-roll", "--dt", "1e-2",
+                   "--out", str(tmp_path)) == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert "numerical failure: marching loop failed at station 25" in err
+        assert "forward run failed" not in err
+        assert seen == [(3, 13, True)]
+        assert not (tmp_path / "history.csv").exists()
+        assert not (tmp_path / "roundtrip.txt").exists()
+
+    def test_forward_failure_writes_the_whole_history(self, tmp_path, capsys,
+                                                      monkeypatch):
+        # the flight fails at its station 10, in its second part of 7,
+        # while 83 of the 86 parts are still to be marched: they are
+        # marched and written, so the history is the inverse run's, and
+        # the report names the failure
+        monkeypatch.setattr(solver, "STATION_BLOCK", 7)
+        given = ["--maneuver", "mirage-roll", "--dt", "1e-2"]
+        assert run("inverse", *given, "--out",
+                   str(tmp_path / "inv")) == EXIT_OK
+        real, calls = cli.fwd.density, []
+
+        def failing(z):
+            calls.append(None)
+            if len(calls) == 4 * 10:
+                raise AltitudeOutOfRange("synthetic altitude")
+            return real(z)
+
+        monkeypatch.setattr(cli.fwd, "density", failing)
+        out = tmp_path / "rt"
+        assert run("roundtrip", *given, "--out", str(out)) == EXIT_MISMATCH
+        assert len(calls) == 4 * 10
+        assert (out / "history.csv").read_bytes() == \
+            (tmp_path / "inv" / "history.csv").read_bytes()
+        report = dict(line.split(" = ") for line in
+                      (out / "roundtrip.txt").read_text().splitlines())
+        assert report == {"verdict": "mismatch", "forward_failure":
+                          "forward simulation failed at station 10: "
+                          "synthetic altitude"}
+        assert "forward run failed: forward simulation failed at station " \
+            "10" in capsys.readouterr().err
+
+    def test_round_trip_peak_memory_growth_per_station(self, tmp_path, capsys,
+                                                       monkeypatch):
+        # the round trip writes each part of the march, and flies and
+        # judges it once the next is marched, so of what is alive at its
+        # peak only the track's segment lengths, 8 B a station, grow with
+        # the run: 137,797 -> 143,890 B traced from 101 to 301 stations
+        # alone, 30 B a station, and 32 B with the rest of this file (2-vCPU
+        # AVX-512 Xeon). Gathering the whole solution with ``solve`` first took
+        # 123,421 -> 168,386 B alone, 225 B a station. Both runs are
+        # parts of 25 stations and a last one of 26; each spacing runs once
+        # untraced first, so neither traced run builds a first-call cache,
+        # and a full collection empties the interpreter's free lists, whose
+        # reuse tracemalloc would not see
+        monkeypatch.setattr(solver, "STATION_BLOCK", 25)
+        given = ["roundtrip", "--maneuver", "level", "--out", str(tmp_path)]
+        spacings = ("6e-2", "2e-2")
+        for dt in spacings:
+            assert run(*given, "--dt", dt) == EXIT_OK
+        peaks = []
+        for dt in spacings:
+            gc.collect()
+            tracemalloc.start()
+            try:
+                assert run(*given, "--dt", dt) == EXIT_OK
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert (peaks[1] - peaks[0]) / (301 - 101) <= 64, peaks
 
     def test_out_of_envelope_trajectory_is_input_error(self, tmp_path,
                                                        capsys):

@@ -15,7 +15,9 @@ package import and after each return of ``solver.setup``,
 mark so far, so the run peaked inside the phase of the first point whose
 VmHWM equals the last point's. ``march`` returns once its set-up is
 done, so in an ``inverse`` run the march itself falls in the
-``write_history`` phase, which reads the parts as they are marched.
+``write_history`` phase, which reads the parts as they are marched, and
+in a ``roundtrip`` the march and the write fall in the ``fwd.simulate``
+phase, as the flight reads each part when it is marched and written.
 Likewise ``read_history`` returns once it has checked the header and
 read the time column for the grid, so in a ``forward`` run the rows are
 parsed, flown and judged a block at a time in the ``fwd.simulate`` phase.
