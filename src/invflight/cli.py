@@ -383,18 +383,23 @@ def run_forward(args, cfg: AircraftConfig) -> int:
     The flight reads the file a block at a time."""
     grid, blocks = read_history(args.history, args.angles)
     names = [field for _, field, _ in HISTORY_COLUMNS]
-    first = dict(zip(names, next(blocks).T))
-    initial = FlightState(**{f.name: float(first[f.name][0])
-                             for f in fields(FlightState)})
-    parts = chain((first,), (dict(zip(names, b.T)) for b in blocks))
-    del first  # the flight holds one block and the next
+    block = next(blocks)
+    row = dict(zip(names, block[0].tolist()))
+    initial = FlightState(**{f.name: row[f.name] for f in fields(FlightState)})
+
+    def parts(block):  # each block freed once its part is flown
+        while block is not None:
+            yield dict(zip(names, block.T))
+            block = next(blocks, None)
+
     # the inverse run's trim-shifted lift curve, from its first station
     try:
         ref = aero.equilibrium_reference(cfg, density(initial.zg), initial.v)
     except tuple(_REFUSALS) as err:
         raise type(err)(f"{err} at station 0") from None
     flights = ((fwd.ControlHistory(grid, *(cols[k] for k in _CONTROLS)),
-                cols) for cols in parts)
+                cols) for cols in parts(block))
+    del block  # the flight holds one block and the next
     return _refly(initial, grid, flights, ref.coeffs, cfg, args,
                   _out_dir(args) / "forward.txt")
 

@@ -197,13 +197,13 @@ class KinematicProfiles:
         once it is yielded."""
         carry = [-0.0]
         for s in range(0, self.stations.count - 1, STATION_BLOCK):
-            yield self._block(s, carry)
+            yield self._block(s, STATION_BLOCK, carry)
 
-    def _block(self, s, carry):
-        """Stations s..s+k as their table; ``carry`` holds the azimuth
-        unwrap's running correction at station s, and the call moves it
-        on to s+k. With ``carry`` None, the refusal pass instead: stop
-        after the refusals.
+    def _block(self, s, count, carry):
+        """Stations s..s+k as their table, k = ``count`` or fewer at the
+        run's end; ``carry`` holds the azimuth unwrap's running correction
+        at station s, and the call moves it on to s+k. With ``carry``
+        None, the refusal pass instead: stop after the refusals.
 
         Each row is the whole-run computation's, bit for bit: numpy's
         elementwise functions give the same bits on any chunk, 4 points
@@ -213,7 +213,7 @@ class KinematicProfiles:
         the carried sum, as ``np.unwrap``'s ``cumsum`` does.
         """
         n, scale = self.stations.count, self.scale
-        e = min(s + STATION_BLOCK, n - 1)
+        e = min(s + count, n - 1)
         lo, hi = scale * s, scale * e
         a = max(lo - 4, 0)
         own = slice(lo - a, hi + 1 - a)
@@ -338,7 +338,7 @@ def setup(spec: TrajectorySpec) -> KinematicProfiles:
     first = {}
     for s in range(0, n - 1, STATION_BLOCK):
         try:
-            profiles._block(s, None)
+            profiles._block(s, STATION_BLOCK, None)
         except (ZeroVelocity, VerticalFlight) as err:
             first.setdefault(type(err), err)
     if first:
@@ -374,7 +374,8 @@ def initialize(profiles: KinematicProfiles,
     writes the deflections.
     """
     validate_config(cfg)
-    row = dict(zip(_STAGE_COLUMNS, next(profiles.stage_rows())[0].tolist()))
+    # row 0 of a one-station table: the first block's row 0, bit for bit
+    row = dict(zip(_STAGE_COLUMNS, profiles._block(0, 1, [-0.0])[0].tolist()))
     try:
         ref = aero.equilibrium_reference(cfg, row["rho"], row["v"])
     except (ZeroVelocity, BeyondStall) as err:

@@ -1,8 +1,7 @@
-import gc
 import hashlib
 import math
-import tracemalloc
 import warnings
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -29,6 +28,8 @@ from invflight.errors import (
     ZeroVelocity,
 )
 from invflight.model import AnalyticManeuver, load_sampled_maneuver
+
+import tracing
 
 CONFIG = str(Path(__file__).resolve().parents[1] / "src" / "invflight"
              / "mirage3.cfg")
@@ -322,19 +323,15 @@ class TestInverse:
 
     def test_history_writer_memory_does_not_grow_with_rows(
             self, tmp_path, monkeypatch, mirage, roll_1e3):
-        # the whole file used to be formatted in memory first: about
-        # 1 kB a row, 6 MB traced for these 6,001 rows
+        # 90,021 and 93,190 B traced for 601 and 6,001 rows; the whole
+        # file used to be formatted in memory first: about 1 kB a row,
+        # 6 MB traced for these 6,001 rows
         short = solver.solve(solver.maneuver_spec("mirage-roll", 1e-2),
                              mirage)
         monkeypatch.setattr(solver, "STATION_BLOCK", 256)
-        peaks = []
-        for hist in (short, roll_1e3):
-            tracemalloc.start()
-            try:
-                write_history([hist], tmp_path / "h.csv", "deg")
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
+        peaks = [peak for _, peak in tracing.readings(
+            lambda hist: write_history([hist], tmp_path / "h.csv", "deg"),
+            short, roll_1e3)]
         assert peaks[1] < 1.1 * peaks[0], peaks
 
     def test_history_writer_peak_memory_per_block_row(self, tmp_path,
@@ -345,13 +342,8 @@ class TestInverse:
         # Xeon) with one (2048, 21) float64 block beside the 12 columns
         # it computes (the angles and the flags), bound with a 20 % margin
         path = tmp_path / "h.csv"
-        write_history([roll_1e3], path, "deg")  # first-call caches
-        tracemalloc.start()
-        try:
-            write_history([roll_1e3], path, "deg")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        [(_, peak)] = tracing.readings(
+            lambda hist: write_history([hist], path, "deg"), roll_1e3)
         assert peak / solver.STATION_BLOCK < 330
 
     def test_streamed_outputs_are_the_whole_runs(self, tmp_path, capsys,
@@ -416,26 +408,21 @@ class TestInverse:
                                                     monkeypatch):
         # the march streams its parts to the files and setup keeps no
         # array, so nothing alive at the peak grows with the run:
-        # 98,698 -> 104,544 B traced from 101 to 401 stations in blocks of
-        # 25, 19 B a station (2-vCPU AVX-512 Xeon). Keeping setup's (3, n)
-        # ground block took 89,028 -> 109,866 B here, 69 B a station, and
+        # 115,600 -> 119,828 B traced from 101 to 401 stations in blocks of
+        # 25, 13-14 B a station alone, in this file and in the whole suite
+        # (2-vCPU AVX-512 Xeon). Keeping setup's (3, n) ground block, 24 B
+        # a station, took 119,486 -> 131,013 B here, 38 B a station, and
         # keeping the whole solution until the files were written
-        # 109,694 -> 195,896 B, 287 B a station. Each spacing runs once
-        # untraced first, so neither traced run builds a first-call cache
+        # 148,791 -> 217,490 B, 229 B a station
         monkeypatch.setattr(solver, "STATION_BLOCK", 25)
         given = ["inverse", "--maneuver", "level", "--out", str(tmp_path)]
-        spacings = ("6e-2", "1.5e-2")
-        for dt in spacings:
+
+        def inverse(dt):
             assert run(*given, "--dt", dt) == EXIT_OK
-        peaks = []
-        for dt in spacings:
-            tracemalloc.start()
-            try:
-                assert run(*given, "--dt", dt) == EXIT_OK
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-        assert (peaks[1] - peaks[0]) / (401 - 101) <= 48, peaks
+
+        per_station, peaks = tracing.growth(
+            inverse, [("6e-2", 101), ("1.5e-2", 401)])
+        assert per_station <= 24, peaks
 
     def test_unknown_maneuver_is_input_error(self, tmp_path, capsys):
         assert run("inverse", "--maneuver", "loop", "--out",
@@ -622,29 +609,20 @@ class TestRoundTrip:
         # the round trip writes each part of the march, and flies and
         # judges it once the next is marched, so of what is alive at its
         # peak only the track's segment lengths, 8 B a station, grow with
-        # the run: 137,797 -> 143,890 B traced from 101 to 301 stations
-        # alone, 30 B a station, and 32 B with the rest of this file (2-vCPU
-        # AVX-512 Xeon). Gathering the whole solution with ``solve`` first took
-        # 123,421 -> 168,386 B alone, 225 B a station. Both runs are
-        # parts of 25 stations and a last one of 26; each spacing runs once
-        # untraced first, so neither traced run builds a first-call cache,
-        # and a full collection empties the interpreter's free lists, whose
-        # reuse tracemalloc would not see
+        # the run: 137,732 -> 143,837 B traced from 101 to 301 stations
+        # alone, 31 B a station, 32 B in this file and 36 B in the whole
+        # suite (2-vCPU AVX-512 Xeon). Gathering the whole solution with
+        # ``solve`` first took 123,431 -> 168,644 B alone, 226 B a station.
+        # Both runs are parts of 25 stations and a last one of 26
         monkeypatch.setattr(solver, "STATION_BLOCK", 25)
         given = ["roundtrip", "--maneuver", "level", "--out", str(tmp_path)]
-        spacings = ("6e-2", "2e-2")
-        for dt in spacings:
+
+        def round_trip(dt):
             assert run(*given, "--dt", dt) == EXIT_OK
-        peaks = []
-        for dt in spacings:
-            gc.collect()
-            tracemalloc.start()
-            try:
-                assert run(*given, "--dt", dt) == EXIT_OK
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-        assert (peaks[1] - peaks[0]) / (301 - 101) <= 64, peaks
+
+        per_station, peaks = tracing.growth(
+            round_trip, [("6e-2", 101), ("2e-2", 301)])
+        assert per_station <= 64, peaks
 
     def test_out_of_envelope_trajectory_is_input_error(self, tmp_path,
                                                        capsys):
@@ -802,6 +780,40 @@ class TestForward:
         assert "forward run failed: " + report["forward_failure"] in \
             capsys.readouterr().err
 
+    def test_replay_frees_each_block_once_its_part_is_flown(
+            self, tmp_path, capsys, monkeypatch, roll_1e3):
+        # the dt 1e-3 roll history is 3 blocks of at most 2,048 rows; after
+        # each flown part the flight holds that part's block and the next
+        path = tmp_path / "h.csv"
+        write_history([roll_1e3], path, "deg")
+        real_read, real_simulate = cli.read_history, cli.fwd.simulate
+        refs, alive = [], []
+
+        def read_history(*args):
+            grid, blocks = real_read(*args)
+
+            def tracked():
+                for block in blocks:
+                    refs.append(weakref.ref(block))
+                    yield block
+
+            return grid, tracked()
+
+        def simulate(initial, controls, cfg, coeffs, fold):
+            def flown(parts):
+                for part in parts:
+                    yield part
+                    alive.append([i for i, ref in enumerate(refs)
+                                  if ref() is not None])
+
+            return real_simulate(initial, controls, cfg, coeffs,
+                                 lambda parts: fold(flown(parts)))
+
+        monkeypatch.setattr(cli, "read_history", read_history)
+        monkeypatch.setattr(cli.fwd, "simulate", simulate)
+        assert run("forward", "--history", str(path),
+                   "--out", str(tmp_path)) == EXIT_OK
+        assert alive == [[0, 1], [1, 2], [2]]
 
     def test_replay_peak_memory_per_station(self, tmp_path, capsys,
                                             monkeypatch, mirage):
@@ -809,10 +821,10 @@ class TestForward:
         # time, so of what is alive at its peak only the time column with
         # its steps (read for the grid, freed before the flight) or the
         # track's segment lengths, 8 B a station each, grow with the run:
-        # 145,940 -> 172,823 B traced from 601 to 2,401 stations with the
-        # rest of this file, 15 B a station, and 3.5 B alone (2-vCPU
+        # 167,541 -> 186,962 B traced from 601 to 2,401 stations, 11 B a
+        # station alone, in this file and in the whole suite (2-vCPU
         # AVX-512 Xeon). Reading the whole file into one (n, 21) block and
-        # flying whole columns took 219,150 -> 596,296 B alone, 210 B
+        # flying whole columns took 233,143 -> 622,898 B alone, 216 B
         monkeypatch.setattr(solver, "STATION_BLOCK", 64)
         paths = []
         for dt in (1e-2, 2.5e-3):
@@ -820,16 +832,13 @@ class TestForward:
             write_history([solver.solve(solver.maneuver_spec("level", dt),
                                         mirage)], paths[-1], "deg")
         replay = ("forward", "--out", str(tmp_path), "--history")
-        assert run(*replay, str(paths[0])) == EXIT_OK  # first-call caches
-        peaks = []
-        for path in paths:
-            tracemalloc.start()
-            try:
-                assert run(*replay, str(path)) == EXIT_OK
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-        assert (peaks[1] - peaks[0]) / (2401 - 601) <= 24, peaks
+
+        def forward(path):
+            assert run(*replay, str(path)) == EXIT_OK
+
+        per_station, peaks = tracing.growth(
+            forward, [(paths[0], 601), (paths[1], 2401)])
+        assert per_station <= 24, peaks
 
     def test_non_finite_tolerances_are_input_errors(self, tmp_path, capsys):
         # a history flown with half its rudder mismatches at the default

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
@@ -29,6 +28,7 @@ from invflight.numerics import (
 from invflight.solver import MANEUVERS
 
 from oracles import Sine, TextbookSixDof, swept_stage_rates
+import tracing
 
 
 def channel_from_sine(s):
@@ -223,19 +223,13 @@ class TestSetup:
         sampled_helix_spec(dt=1e-3, n=6001)],
         ids=["roll", "sampled-helix"])
     def test_transient_memory(self, spec):
-        # setup keeps no array: 1,312 B traced on the roll and 1,392 B on
-        # the sampled helix, where keeping the (3, n) block of station
-        # coordinates took 145,824 and 145,832 B, and keeping the
-        # (2n-1, 14) stage table too about 248 B a station. Its refusal
-        # pass holds one block's temporaries at a time, so its peak does
-        # not grow with the run
-        setup(spec)
-        tracemalloc.start()
-        try:
-            prof = setup(spec)
-            kept, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        # setup keeps no array: 2,928 B traced on the roll and 3,336 B on
+        # the sampled helix, the profiles included, where keeping the
+        # (3, n) block of station coordinates took 147,552 and 147,888 B,
+        # and keeping the (2n-1, 14) stage table too about 248 B a
+        # station. Its refusal pass holds one block's temporaries at a
+        # time, so its peak does not grow with the run
+        [(kept, peak)] = tracing.readings(setup, spec)
         assert kept < 4096
         # in half-step arrays of one block (2 points a station, 8 B
         # each): 8.4 on the roll and 3.7 on the sampled helix
@@ -420,6 +414,36 @@ class TestInitialize:
         assert len(init.y0) == len(self.START)
         return dict(zip(self.START, init.y0)), init.reference
 
+    @pytest.mark.parametrize("spec", [
+        maneuver_spec("mirage-roll", 1e-4), maneuver_spec("mirage-roll", 1e-2),
+        sampled_helix_spec(dt=1e-3, n=6001)],
+        ids=["roll-1e-4", "roll-1e-2", "sampled-helix"])
+    def test_one_station_table_is_the_first_blocks_row_0(self, spec):
+        # initialize reads station 0 from a one-station table, which must
+        # be the row the march's first block starts from
+        profiles = setup(spec)
+        one = profiles._block(0, 1, [-0.0])
+        assert one.shape == (3, len(TestStageTable.COLUMNS))
+        assert one[0].tobytes() == next(profiles.stage_rows())[0].tobytes()
+
+    def test_march_builds_each_block_once(self, mirage, monkeypatch):
+        # the 601 stations in 7-station blocks: initialize builds a
+        # one-station table (3 half-step rows), then the march builds each
+        # block's 15 rows (11 for the last 5 stations) once
+        real, built = solver.KinematicProfiles._block, []
+
+        def counted(profiles, s, *rest):
+            table = real(profiles, s, *rest)
+            if table is not None:  # not the refusal pass
+                built.append((s, len(table)))
+            return table
+
+        monkeypatch.setattr(solver.KinematicProfiles, "_block", counted)
+        monkeypatch.setattr(solver, "STATION_BLOCK", 7)
+        solve(maneuver_spec("mirage-roll", 1e-2), mirage)
+        assert built == [(0, 3), *((s, 15) for s in range(0, 595, 7)),
+                         (595, 11)]
+
     def test_roll_maneuver_equilibrium_start(self, mirage):
         spec = maneuver_spec("mirage-roll", 1e-2)
         s, ref = self.start(setup(spec), mirage)
@@ -548,35 +572,25 @@ class TestSolve:
         # once the deflections were recovered after the march, with the
         # stage table gone, about 462 B once the record block and the
         # station block carried only what is read (no thrust rate, no
-        # ground velocities), about 472 B now that the stage table comes
-        # a block at a time: this run's one block is built before the
-        # record block (at dt 1e-2: traced, a 1e-3 solve takes half a
-        # minute). The first solve of a process also builds the
-        # RK4 combiners, so a warm-up solve runs untraced.
+        # ground velocities), about 472 B once the stage table came a
+        # block at a time: this run's one block is built before the
+        # record block, 480 B before the stage table and each part carried
+        # the station coordinates, and 512 B since (2-vCPU AVX-512 Xeon;
+        # at dt 1e-2: traced, a 1e-3 solve takes half a minute)
         spec = maneuver_spec("mirage-roll", 1e-2)
-        solve(spec, mirage)
-        tracemalloc.start()
-        try:
-            solve(spec, mirage)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        [(_, peak)] = tracing.readings(lambda spec: solve(spec, mirage),
+                                          spec)
         assert peak / spec.station_count < 527
 
     def test_peak_memory_per_station_in_blocks(self, mirage, monkeypatch):
         # the march holds one block of stage rows at a time: with 64-station
-        # blocks the traced peak is 279 B a station (2-vCPU AVX-512 Xeon),
-        # bound here with a 15 % margin; a solve that builds the whole
-        # (2n-1, 14) table peaks at 462 B whatever the block size
+        # blocks the traced peak is 311 B a station (2-vCPU AVX-512 Xeon);
+        # a solve that builds the whole (2n-1, 14) table peaked at 462 B
+        # whatever the block size
         monkeypatch.setattr(solver, "STATION_BLOCK", 64)
         spec = maneuver_spec("mirage-roll", 1e-2)
-        solve(spec, mirage)
-        tracemalloc.start()
-        try:
-            solve(spec, mirage)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        [(_, peak)] = tracing.readings(lambda spec: solve(spec, mirage),
+                                          spec)
         assert peak / spec.station_count < 320
 
     def test_roll_maneuver_sanity(self, mirage):

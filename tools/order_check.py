@@ -5,9 +5,10 @@
 Runs the tier-1 command of ROADMAP.md from the root of the checkout
 (``PYTHONPATH=src python -m pytest -q --continue-on-collection-errors``)
 five ways: as it stands (file order), on the test files in reverse order,
-on each test file alone, and with ``-k peak_memory`` alone. Prints the
-counts of each run. Exits 1 if any run fails a test or has an error, or
-if the per-file counts do not add up to the full run's.
+on each test file alone, and with ``-k memory`` (every traced memory
+test, without the rest). Prints the counts of each run. Exits 1 if any
+run fails a test or has an error, or if the per-file counts do not add
+up to the full run's.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ def main() -> int:
     runs = {"file order": run(), "reversed": run(*reversed(files))}
     alone = {f: run(f) for f in files}
     runs.update(alone)
-    runs["-k peak_memory"] = run("-k", "peak_memory")
+    runs["-k memory"] = run("-k", "memory")
     total = {k: sum(c[k] for c in alone.values()) for k in OUTCOMES}
     for label, counts in runs.items():
         print(f"{label:36s} {text(counts)} (exit {counts['status']})")
