@@ -285,13 +285,13 @@ _CONTROLS = ("delta_l", "delta_m", "delta_n", "thrust")
 _TRACK = ("xg", "yg", "zg", "phi")
 
 
-def _refly(initial, grid, parts, coeffs, cfg, args, path) -> int:
+def _refly(initial, parts, coeffs, cfg, args, path) -> int:
     """Fly ``parts``, the run's parts in station order as pairs of a
     ``ControlHistory`` and the track's columns by field name, from
     ``initial`` with ``coeffs``; write the track's deviation to ``path``.
     A failed flight mismatches."""
     tracks = []  # the parts read and not yet judged
-    dev, segments = [0.0] * len(_TRACK), np.empty(grid.count - 1)
+    dev, path_length = [0.0] * len(_TRACK), 0.0  # a sum of part sums
 
     def controls():
         for flown, track in parts:
@@ -299,10 +299,10 @@ def _refly(initial, grid, parts, coeffs, cfg, args, path) -> int:
             yield flown
 
     def judge(flown):
-        """Fold the flown parts into the largest deviations, exact under
-        any partition, and the segment lengths, 8 B a station, for one sum
-        (a sum of sums can differ). Returns the last part: the run's grid."""
-        s, before = 0, [np.empty(0)] * 3  # x, y, z of station s - 1
+        """Fold the flown parts into the largest deviations (exact under any
+        partition) and the path length. Returns the last part: its grid."""
+        nonlocal path_length
+        before = [np.empty(0)] * 3  # x, y, z of the last station
         for run in flown:
             cols = tracks.pop(0)
             for j, k in enumerate(_TRACK):
@@ -310,9 +310,9 @@ def _refly(initial, grid, parts, coeffs, cfg, args, path) -> int:
                     np.abs(getattr(run, k) - cols[k]).max()))
             dx, dy, dz = (np.diff(cols[k], prepend=b)
                           for k, b in zip(_TRACK, before))
-            e = s + len(run.phi)
-            np.hypot(np.hypot(dx, dy), dz, out=segments[max(s - 1, 0):e - 1])
-            s, before = e, [cols[k][-1] for k in _TRACK[:3]]
+            path_length += float(np.sum(np.hypot(np.hypot(dx, dy), dz)))
+            before = [cols[k][-1] for k in _TRACK[:3]]
+            del cols, dx, dy, dz  # frees the block before the next is read
         return run
 
     try:
@@ -330,7 +330,6 @@ def _refly(initial, grid, parts, coeffs, cfg, args, path) -> int:
                              ("forward_failure", err)])
         print(f"forward run failed: {err}", file=sys.stderr)
         return EXIT_MISMATCH
-    path_length = float(np.sum(segments))
     pos_tol = args.pos_tol_frac * max(path_length, 1.0)
     mismatch = (max(dev[:3]) > pos_tol
                 or dev[3] > math.radians(args.phi_tol_deg))
@@ -400,7 +399,7 @@ def run_forward(args, cfg: AircraftConfig) -> int:
     flights = ((fwd.ControlHistory(grid, *(cols[k] for k in _CONTROLS)),
                 cols) for cols in parts(block))
     del block  # the flight holds one block and the next
-    return _refly(initial, grid, flights, ref.coeffs, cfg, args,
+    return _refly(initial, flights, ref.coeffs, cfg, args,
                   _out_dir(args) / "forward.txt")
 
 
@@ -426,10 +425,10 @@ def run_roundtrip(args, cfg: AircraftConfig) -> int:
                   newline="\n") as fh:
             fh.write(HISTORY_HEADER + "\n")
             first = next(parts)
-            initial, grid = first.state_at(0), first.grid
-            coeffs, pairs = first.reference.coeffs, flights(fh, first)
+            initial, coeffs = first.state_at(0), first.reference.coeffs
+            pairs = flights(fh, first)
             del first  # the flight holds one part and the next
-            return _refly(initial, grid, pairs, coeffs, cfg, args,
+            return _refly(initial, pairs, coeffs, cfg, args,
                           out / "roundtrip.txt")
     except BaseException:
         (out / "history.csv").unlink(missing_ok=True)

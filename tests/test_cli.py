@@ -783,17 +783,23 @@ class TestForward:
     def test_replay_frees_each_block_once_its_part_is_flown(
             self, tmp_path, capsys, monkeypatch, roll_1e3):
         # the dt 1e-3 roll history is 3 blocks of at most 2,048 rows; after
-        # each flown part the flight holds that part's block and the next
+        # each flown part the flight holds that part's block and the next,
+        # and as a block is read only the one before it is alive (the
+        # judge once kept the last judged part's block: [0, 1] at block 2)
         path = tmp_path / "h.csv"
         write_history([roll_1e3], path, "deg")
         real_read, real_simulate = cli.read_history, cli.fwd.simulate
-        refs, alive = [], []
+        refs, alive, at_read = [], [], []
+
+        def alive_blocks():
+            return [i for i, ref in enumerate(refs) if ref() is not None]
 
         def read_history(*args):
             grid, blocks = real_read(*args)
 
             def tracked():
                 for block in blocks:
+                    at_read.append(alive_blocks())
                     refs.append(weakref.ref(block))
                     yield block
 
@@ -803,8 +809,7 @@ class TestForward:
             def flown(parts):
                 for part in parts:
                     yield part
-                    alive.append([i for i, ref in enumerate(refs)
-                                  if ref() is not None])
+                    alive.append(alive_blocks())
 
             return real_simulate(initial, controls, cfg, coeffs,
                                  lambda parts: fold(flown(parts)))
@@ -814,17 +819,18 @@ class TestForward:
         assert run("forward", "--history", str(path),
                    "--out", str(tmp_path)) == EXIT_OK
         assert alive == [[0, 1], [1, 2], [2]]
+        assert at_read == [[], [0], [1]]
 
     def test_replay_peak_memory_per_station(self, tmp_path, capsys,
                                             monkeypatch, mirage):
         # the replay reads, flies and judges the history a block at a
-        # time, so of what is alive at its peak only the time column with
-        # its steps (read for the grid, freed before the flight) or the
-        # track's segment lengths, 8 B a station each, grow with the run:
-        # 167,541 -> 186,962 B traced from 601 to 2,401 stations, 11 B a
-        # station alone, in this file and in the whole suite (2-vCPU
-        # AVX-512 Xeon). Reading the whole file into one (n, 21) block and
-        # flying whole columns took 233,143 -> 622,898 B alone, 216 B
+        # time and folds the path length part by part, so of what is alive
+        # at its peak only the time column with its steps (read for the
+        # grid, freed before the flight) grows with the run: 146,947 ->
+        # 151,781 B traced from 601 to 2,401 stations, 2.7 B a station
+        # (2-vCPU AVX-512 Xeon). Keeping the track's segment lengths,
+        # 8 B a station, for one sum read 10.8 B; reading the whole file
+        # into one (n, 21) block and flying whole columns read 216 B
         monkeypatch.setattr(solver, "STATION_BLOCK", 64)
         paths = []
         for dt in (1e-2, 2.5e-3):
@@ -838,7 +844,7 @@ class TestForward:
 
         per_station, peaks = tracing.growth(
             forward, [(paths[0], 601), (paths[1], 2401)])
-        assert per_station <= 24, peaks
+        assert per_station <= 6, peaks
 
     def test_non_finite_tolerances_are_input_errors(self, tmp_path, capsys):
         # a history flown with half its rudder mismatches at the default
