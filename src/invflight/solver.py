@@ -164,10 +164,13 @@ _STAGE_COLUMNS = ("v", "v_dot", "v_ddot", "theta_w", "theta_w_dot",
                   "phi", "phi_dot", "phi_ddot", "rho", "rho_dot",
                   "xg", "yg", "zg")
 
-# stations per block of the stage table, so per part of the march and
-# per call of its deflection recovery, and per block the history writer
-# formats
-STATION_BLOCK = 2048
+# stations per block of every stream: the stage table (272 B a station),
+# the march's parts and their deflection recovery (144 B), the history
+# writer's and the replay reader's (k, 21) blocks (168 B) and the forward
+# flight's controls and records (128 B). A run's peak above its import
+# scales with it: an S-turn round trip peaks at 32.4, 31.3, 30.9 and
+# 30.7 MB in blocks of 2,048, 1,024, 512 and 256, so 512 is the knee
+STATION_BLOCK = 512
 
 
 @dataclass

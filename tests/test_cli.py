@@ -334,13 +334,16 @@ class TestInverse:
             short, roll_1e3)]
         assert peaks[1] < 1.1 * peaks[0], peaks
 
-    def test_history_writer_peak_memory_per_block_row(self, tmp_path,
-                                                      roll_1e3):
-        # traced peak of writing the 6,001 rows in blocks of the default
-        # 2,048: 1,367 B a block row when each block became 21 lists of
-        # Python floats and a list of row strings, 274 B (2-vCPU AVX-512
-        # Xeon) with one (2048, 21) float64 block beside the 12 columns
-        # it computes (the angles and the flags), bound with a 20 % margin
+    def test_history_writer_peak_memory_per_block_row(
+            self, tmp_path, monkeypatch, roll_1e3):
+        # traced peak of writing the 6,001 rows in blocks of 2,048, the
+        # block this bound was set at: 1,367 B a block row when each block
+        # became 21 lists of Python floats and a list of row strings,
+        # 274 B (2-vCPU AVX-512 Xeon) with one (2048, 21) float64 block
+        # beside the 12 columns it computes (the angles and the flags),
+        # bound with a 20 % margin. The fixed part weighs more per row in
+        # smaller blocks: 310 B at 512
+        monkeypatch.setattr(solver, "STATION_BLOCK", 2048)
         path = tmp_path / "h.csv"
         [(_, peak)] = tracing.readings(
             lambda hist: write_history([hist], path, "deg"), roll_1e3)
@@ -624,6 +627,21 @@ class TestRoundTrip:
             round_trip, [("6e-2", 101), ("2e-2", 301)])
         assert per_station <= 64, peaks
 
+    def test_round_trip_transient_memory_at_the_default_block(
+            self, tmp_path, capsys):
+        # what a run holds above what it keeps is one block's working set
+        # in every stream, so it follows ``STATION_BLOCK``: 1,201 stations
+        # in parts of the default 512 read 387,824 B traced, and 512,173
+        # and 597,618 B in parts of 1,024 and one part of 2,048 (2-vCPU
+        # AVX-512 Xeon)
+        given = ["roundtrip", "--maneuver", "level", "--out", str(tmp_path)]
+
+        def round_trip(dt):
+            assert run(*given, "--dt", dt) == EXIT_OK
+
+        [(kept, peak)] = tracing.readings(round_trip, "5e-3")
+        assert peak - kept < 460_000, (kept, peak)
+
     def test_out_of_envelope_trajectory_is_input_error(self, tmp_path,
                                                        capsys):
         man = out_of_envelope_file(tmp_path, "vertical_climb")
@@ -782,10 +800,11 @@ class TestForward:
 
     def test_replay_frees_each_block_once_its_part_is_flown(
             self, tmp_path, capsys, monkeypatch, roll_1e3):
-        # the dt 1e-3 roll history is 3 blocks of at most 2,048 rows; after
-        # each flown part the flight holds that part's block and the next,
-        # and as a block is read only the one before it is alive (the
-        # judge once kept the last judged part's block: [0, 1] at block 2)
+        # the dt 1e-3 roll history is n blocks of at most ``STATION_BLOCK``
+        # rows (12 at the default 512); after each flown part the flight
+        # holds that part's block and the next, and as a block is read
+        # only the one before it is alive (the judge once kept the last
+        # judged part's block: [0, 1] as block 2 was read)
         path = tmp_path / "h.csv"
         write_history([roll_1e3], path, "deg")
         real_read, real_simulate = cli.read_history, cli.fwd.simulate
@@ -818,8 +837,10 @@ class TestForward:
         monkeypatch.setattr(cli.fwd, "simulate", simulate)
         assert run("forward", "--history", str(path),
                    "--out", str(tmp_path)) == EXIT_OK
-        assert alive == [[0, 1], [1, 2], [2]]
-        assert at_read == [[], [0], [1]]
+        n = -(-len(roll_1e3.t) // solver.STATION_BLOCK)
+        assert n >= 3
+        assert alive == [[i, i + 1] for i in range(n - 1)] + [[n - 1]]
+        assert at_read == [[]] + [[i] for i in range(n - 1)]
 
     def test_replay_peak_memory_per_station(self, tmp_path, capsys,
                                             monkeypatch, mirage):

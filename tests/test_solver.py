@@ -222,13 +222,17 @@ class TestSetup:
         maneuver_spec("mirage-roll", 1e-3),
         sampled_helix_spec(dt=1e-3, n=6001)],
         ids=["roll", "sampled-helix"])
-    def test_transient_memory(self, spec):
+    def test_transient_memory(self, spec, monkeypatch):
         # setup keeps no array: 2,928 B traced on the roll and 3,336 B on
-        # the sampled helix, the profiles included, where keeping the
-        # (3, n) block of station coordinates took 147,552 and 147,888 B,
-        # and keeping the (2n-1, 14) stage table too about 248 B a
-        # station. Its refusal pass holds one block's temporaries at a
-        # time, so its peak does not grow with the run
+        # the sampled helix in blocks of 2,048, the profiles included,
+        # where keeping the (3, n) block of station coordinates took
+        # 147,552 and 147,888 B, and keeping the (2n-1, 14) stage table
+        # too about 248 B a station. Its refusal pass holds one block's
+        # temporaries at a time, so its peak does not grow with the run.
+        # What is kept counts the free lists the call filled, which grow
+        # with its blocks: 4,008 and 4,416 B in blocks of 512, 1,808 and
+        # 1,224 B of it alive after a collection
+        monkeypatch.setattr(solver, "STATION_BLOCK", 2048)
         [(kept, peak)] = tracing.readings(setup, spec)
         assert kept < 4096
         # in half-step arrays of one block (2 points a station, 8 B
@@ -365,10 +369,11 @@ class TestStageTable:
 
     @pytest.mark.parametrize("name", sorted(SPECS))
     def test_blocks_join_into_the_whole_run_table(self, name, monkeypatch):
-        # 601 stations are one block at the default size; in blocks of 7,
-        # each shared row taken once, they give the same table bit for bit
+        # 601 stations in one block, and in blocks of 7 with each shared
+        # row taken once, give the same table bit for bit
         spec = self.SPECS[name]()
         n = spec.station_count
+        monkeypatch.setattr(solver, "STATION_BLOCK", n)
         [whole] = setup(spec).stage_rows()
         assert whole.shape == (2 * n - 1, len(self.COLUMNS))
         monkeypatch.setattr(solver, "STATION_BLOCK", 7)
@@ -575,8 +580,9 @@ class TestSolve:
         # ground velocities), about 472 B once the stage table came a
         # block at a time: this run's one block is built before the
         # record block, 480 B before the stage table and each part carried
-        # the station coordinates, and 512 B since (2-vCPU AVX-512 Xeon;
-        # at dt 1e-2: traced, a 1e-3 solve takes half a minute)
+        # the station coordinates, 512 B since, and 443 B in the default
+        # blocks of 512 (2-vCPU AVX-512 Xeon; at dt 1e-2: traced, a 1e-3
+        # solve takes half a minute)
         spec = maneuver_spec("mirage-roll", 1e-2)
         [(_, peak)] = tracing.readings(lambda spec: solve(spec, mirage),
                                           spec)
@@ -647,7 +653,7 @@ class TestSolve:
                                                        monkeypatch):
         # the march never reads the deflections back: one recovery call
         # per block of stations, station 0 included, not one per station
-        # (601 here)
+        # (601 here, 2 blocks at the default 512)
         from invflight import dynamics
 
         real = dynamics.controls_from_angular_accels
@@ -659,8 +665,10 @@ class TestSolve:
 
         monkeypatch.setattr(dynamics, "controls_from_angular_accels",
                             counting)
-        solve(maneuver_spec("mirage-roll", 1e-2), mirage)
-        assert len(calls) == 1
+        spec = maneuver_spec("mirage-roll", 1e-2)
+        solve(spec, mirage)
+        assert len(calls) == len(range(0, spec.station_count - 1,
+                                       solver.STATION_BLOCK))
 
     def test_solution_satisfies_governing_relations_pointwise(self, mirage):
         # residual check independent of the marching scheme: the solved
@@ -732,7 +740,7 @@ def turn_across_180(t_cross, sampled=False):
 
 class TestBlockedSolve:
     """A solve fed 7-station blocks is the whole-run solve, bit for bit
-    (601 stations, one block at the default size)."""
+    (601 stations, the whole run marched as one block)."""
 
     # station 343 ends the 49th block of 7; the half-step row (analytic)
     # or station (sampled) after the crossing is 347, 343 or 344
@@ -752,6 +760,7 @@ class TestBlockedSolve:
     @pytest.mark.parametrize("name", sorted(SPECS))
     def test_seven_station_blocks(self, mirage, monkeypatch, name):
         spec = self.SPECS[name]()
+        monkeypatch.setattr(solver, "STATION_BLOCK", spec.station_count)
         whole = solve(spec, mirage)
         if name.startswith(("turn", "sampled-turn")):
             psi_w = np.rad2deg(whole.psi_w)
@@ -796,8 +805,9 @@ class TestCascadeClosure:
 
     @staticmethod
     def stage_calls(spec, cfg, monkeypatch):
-        """Every stage evaluation of a solve as (time, state, seed), and
-        the arguments its rate function was built from."""
+        """Every stage evaluation of a solve marched in one block as
+        (time, state, seed), and the arguments its rate function was
+        built from."""
         built = {}
         calls = []
         make = solver._make_rate_function
@@ -813,6 +823,7 @@ class TestCascadeClosure:
             return record
 
         monkeypatch.setattr(solver, "_make_rate_function", recording)
+        monkeypatch.setattr(solver, "STATION_BLOCK", spec.station_count)
         solve(spec, cfg)
         monkeypatch.undo()
         return built, calls

@@ -6,14 +6,19 @@ for example ``... rss_phases.py inverse --maneuver mirage-roll --dt 1e-4
 --out /tmp/roll``. Runs ``invflight.cli.main`` on the arguments in this
 process and prints one JSON line, the last line of stdout (the CLI's
 own "wrote ..." lines come before it): the exit status; in call order,
-VmRSS and VmHWM (MB, from ``/proc/self/status``, Linux only) after the
-package import and after each return of ``solver.setup``,
-``solver.initialize``, ``solver.march``, ``solver.solve``,
-``cli.write_history``, ``cli.write_summary``, ``cli.read_history`` and
-``fwd.simulate``; and ``ru_maxrss_mb``, the process's own
-``resource.getrusage`` peak at exit. VmHWM is the process's high-water
-mark so far, so the run peaked inside the phase of the first point whose
-VmHWM equals the last point's. ``march`` returns once its set-up is
+VmRSS and VmHWM (MB, from ``/proc/self/status``, Linux only) and
+``ru_maxrss`` (MB, ``resource.getrusage``) after the package import and
+after each return of ``solver.setup``, ``solver.initialize``,
+``solver.march``, ``solver.solve``, ``cli.write_history``,
+``cli.write_summary``, ``cli.read_history`` and ``fwd.simulate``;
+``ru_maxrss_mb``, the process's peak at exit; and ``peak_phase``, the
+phase of the first point whose ``ru_maxrss`` equals the exit peak, the
+phase the run peaked in ("exit" when it peaked after the last point).
+The attribution rests on ``ru_maxrss`` because it never went down
+between reads, while VmHWM is not a high-water mark when read
+repeatedly: on a Linux 6.18 kernel it read as much as 0.22 MB above
+``ru_maxrss`` and then fell back (32.75 then 32.64 MB between judged
+parts of one replay). ``march`` returns once its set-up is
 done, so in an ``inverse`` run the march itself falls in the
 ``write_history`` phase, which reads the parts as they are marched, and
 in a ``roundtrip`` the march and the write fall in the ``fwd.simulate``
@@ -42,12 +47,19 @@ import resource
 import sys
 
 
+def ru_maxrss() -> float:
+    """This process's peak resident set so far, in MB (1024 kB)."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
 def memory() -> dict:
-    """VmRSS and VmHWM of this process, in MB (1024 kB)."""
+    """VmRSS, VmHWM and ru_maxrss of this process, in MB (1024 kB)."""
     with open("/proc/self/status", encoding="ascii") as fh:
         fields = dict(line.split(":", 1) for line in fh)
-    return {key: int(fields[key].split()[0]) / 1024.0
-            for key in ("VmRSS", "VmHWM")}
+    mb = {key: int(fields[key].split()[0]) / 1024.0
+          for key in ("VmRSS", "VmHWM")}
+    mb["ru_maxrss"] = ru_maxrss()
+    return mb
 
 
 def main(argv: list) -> int:
@@ -77,9 +89,11 @@ def main(argv: list) -> int:
             (cli.fwd, "simulate", "fwd.simulate")):
         probe(owner, attr, phase)
     status = cli.main(argv)
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    peak = ru_maxrss()
+    phase = next((p["phase"] for p in points if p["ru_maxrss"] == peak),
+                 "exit")
     print(json.dumps({"argv": argv, "status": status, "points": points,
-                      "ru_maxrss_mb": peak}))
+                      "ru_maxrss_mb": peak, "peak_phase": phase}))
     return status
 
 
