@@ -222,21 +222,17 @@ class TestSetup:
         maneuver_spec("mirage-roll", 1e-3),
         sampled_helix_spec(dt=1e-3, n=6001)],
         ids=["roll", "sampled-helix"])
-    def test_transient_memory(self, spec, monkeypatch):
-        # setup keeps no array: 2,928 B traced on the roll and 3,336 B on
-        # the sampled helix in blocks of 2,048, the profiles included,
-        # where keeping the (3, n) block of station coordinates took
-        # 147,552 and 147,888 B, and keeping the (2n-1, 14) stage table
-        # too about 248 B a station. Its refusal pass holds one block's
-        # temporaries at a time, so its peak does not grow with the run.
-        # What is kept counts the free lists the call filled, which grow
-        # with its blocks: 4,008 and 4,416 B in blocks of 512, 1,808 and
-        # 1,224 B of it alive after a collection
-        monkeypatch.setattr(solver, "STATION_BLOCK", 2048)
+    def test_transient_memory(self, spec):
+        # setup keeps no array: 992 B traced on the roll and 1,176 B on
+        # the sampled helix, the profiles included, where keeping the
+        # (3, n) block of station coordinates took 147,552 and 147,888 B,
+        # and keeping the (2n-1, 14) stage table too about 248 B a
+        # station. Its refusal pass holds one block's temporaries at a
+        # time, so its peak does not grow with the run
         [(kept, peak)] = tracing.readings(setup, spec)
         assert kept < 4096
         # in half-step arrays of one block (2 points a station, 8 B
-        # each): 8.4 on the roll and 3.7 on the sampled helix
+        # each): 9.1 on the roll and 6.0 on the sampled helix
         assert (peak - kept) / (16 * solver.STATION_BLOCK) < 16
 
     def test_sampled_midpoints_are_station_means(self):
@@ -590,9 +586,9 @@ class TestSolve:
 
     def test_peak_memory_per_station_in_blocks(self, mirage, monkeypatch):
         # the march holds one block of stage rows at a time, so what a solve
-        # allocates above the solution it keeps is 69 B a station with
-        # 64-station blocks (peak 311 B, kept 242 B; 2-vCPU AVX-512 Xeon);
-        # a solve that builds the whole (2n-1, 14) table reads 235 B
+        # allocates above the solution it keeps is 90 B a station with
+        # 64-station blocks (peak 311 B, kept 221 B; 2-vCPU AVX-512 Xeon);
+        # a solve that builds the whole (2n-1, 14) table reads 247 B
         monkeypatch.setattr(solver, "STATION_BLOCK", 64)
         spec = maneuver_spec("mirage-roll", 1e-2)
         [(kept, peak)] = tracing.readings(lambda spec: solve(spec, mirage),

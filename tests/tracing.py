@@ -2,9 +2,11 @@
 
 A reading collects garbage first: a full collection empties the
 interpreter's free lists, whose reuse tracemalloc would not see, so a
-reading does not depend on what ran before it. Each call is run once
-untraced before it is traced, so no traced run builds a first-call cache
-(the RK4 combiners, the history row format).
+reading does not depend on what ran before it. It collects again before
+it reads what the call kept, so kept is what the call left alive, not
+the free lists it filled. Each call is run once untraced before it is
+traced, so no traced run builds a first-call cache (the RK4 combiners,
+the history row format).
 """
 
 import gc
@@ -16,6 +18,7 @@ def _reading(call, arg):
     tracemalloc.start()
     try:
         result = call(arg)  # alive at the reading
+        gc.collect()
         return tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
