@@ -168,8 +168,9 @@ _STAGE_COLUMNS = ("v", "v_dot", "v_ddot", "theta_w", "theta_w_dot",
 # the march's parts and their deflection recovery (144 B), the history
 # writer's and the replay reader's (k, 21) blocks (168 B) and the forward
 # flight's controls and records (128 B). A run's peak above its import
-# scales with it: an S-turn round trip peaks at 32.4, 31.3, 30.9 and
-# 30.7 MB in blocks of 2,048, 1,024, 512 and 256, so 512 is the knee
+# scales with it, and each block costs about 2 ms of march: an S-turn
+# round trip peaks 0.9 and 1.0-1.2 MB lower in blocks of 1,024 and 512
+# than of 2,048, for 1 and 1-4 % more time; 256 saves under 0.2 MB more
 STATION_BLOCK = 512
 
 
